@@ -10,7 +10,7 @@ file, then built-in default.  The config file is a flat JSON object with
 keys ``n_modes, t, A, kappa, n_th, t0, kappa0, cutoff, tol`` plus any
 command-specific key named like its flag (dashes become underscores), and an
 optional ``bonds`` list of per-bond overrides ``{"index": k, "t": ..,
-"A": ..}``.
+"A": ..}``.  Any other key is a usage error.
 
 Exit status: 0 on success, 2 on usage errors, 3 on solver errors, 4 when a
 cross-layer validation fails.
@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,6 +77,10 @@ class _Resolver:
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
                 self.config = json.load(fh)
+        allowed = set(DEFAULTS) | {"bonds"} | (set(vars(args)) - {"command", "func"})
+        unknown = sorted(set(self.config) - allowed)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
     def get(self, key: str, default=None, cast=float):
         flag = getattr(self.args, key, None)
@@ -207,20 +210,11 @@ def cmd_attached(args) -> int:
     t_count = int(res.get("t0_count", 20, cast=int))
     kappa0_grid = np.geomspace(k_lo, k_hi, k_count)
     t0_grid = np.linspace(t_lo, t_hi, t_count)
-    points = [(k0, t0) for k0 in kappa0_grid for t0 in t0_grid]
-
-    def solve(point):
-        k0, t0 = point
-        att = steady.AttachedModeSpec(coupling=t0, kappa=k0)
-        return steady.solve_with_attached(spec, att).occupations[0]
-
-    jobs = int(res.get("jobs", 1, cast=int))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(solve, points))  # map keeps grid order
-    else:
-        values = [solve(p) for p in points]
-    rows = [(k0, t0, n0) for (k0, t0), n0 in zip(points, values)]
+    rows = []
+    for k0 in kappa0_grid:
+        for t0 in t0_grid:
+            att = steady.AttachedModeSpec(coupling=t0, kappa=k0)
+            rows.append((k0, t0, steady.solve_with_attached(spec, att).occupations[0]))
     _write_csv(args.output, ["kappa_0", "t_0", "n_0"], rows)
     return EXIT_OK
 
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0-min", dest="t0_min", type=float)
     p.add_argument("--t0-max", dest="t0_max", type=float)
     p.add_argument("--t0-count", dest="t0_count", type=int)
-    p.add_argument("--jobs", type=int, help="solve grid points concurrently")
     p.set_defaults(func=cmd_attached)
 
     p = sub.add_parser("oracle", help="cross-validate the three solver layers")

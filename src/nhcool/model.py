@@ -106,21 +106,37 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class HoppingMatrix:
-    """Single-particle hopping matrix plus its Hermiticity flag."""
+    """Tridiagonal single-particle hopping matrix, stored as its two bands.
 
-    matrix: np.ndarray
+    ``fwd[k] = h[k + 1, k] = t_fwd`` and ``bwd[k] = h[k, k + 1] = t_bwd`` of
+    bond ``k``; the diagonal is zero.
+    """
+
+    fwd: np.ndarray
+    bwd: np.ndarray
     is_hermitian: bool
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense ``n_modes x n_modes`` matrix ``h``, built on each access."""
+        return np.diag(self.fwd, -1) + np.diag(self.bwd, 1)
 
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Nonnegative nearest-neighbour transition rates.
+    """Nonnegative nearest-neighbour transition rates, stored as two bands.
 
-    ``rates[i, j]`` is the rate at which excitations hop from mode ``i`` to
-    mode ``j``; entries are nonzero only on the two off-diagonals.
+    ``fwd[k]`` is the rate at which excitations hop from mode ``k`` to mode
+    ``k + 1`` and ``bwd[k]`` the rate of the reverse hop.
     """
 
-    rates: np.ndarray
+    fwd: np.ndarray
+    bwd: np.ndarray
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Dense ``rates[i, j]``, the rate from mode ``i`` to ``j``; built on each access."""
+        return np.diag(self.fwd, 1) + np.diag(self.bwd, -1)
 
 
 def _canonical_bond(coupling: float, asymmetry: float) -> Bond:
@@ -197,13 +213,10 @@ def build_hopping_matrix(spec: ChainSpec) -> HoppingMatrix:
     Hermitian (true precisely when every bond satisfies
     ``t_bwd == conj(t_fwd)``).
     """
-    n = spec.n_modes
-    h = np.zeros((n, n), dtype=complex)
-    for k, bond in enumerate(spec.bonds):
-        h[k + 1, k] = bond.t_fwd
-        h[k, k + 1] = bond.t_bwd
-    hermitian = all(bond.t_bwd == np.conj(bond.t_fwd) for bond in spec.bonds)
-    return HoppingMatrix(matrix=h, is_hermitian=bool(hermitian))
+    fwd = np.array([bond.t_fwd for bond in spec.bonds], dtype=complex)
+    bwd = np.array([bond.t_bwd for bond in spec.bonds], dtype=complex)
+    hermitian = bool(np.all(bwd == np.conj(fwd)))
+    return HoppingMatrix(fwd=fwd, bwd=bwd, is_hermitian=hermitian)
 
 
 def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
@@ -222,9 +235,8 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
     ValueError
         If a (necessarily non-canonical) bond produces a negative rate.
     """
-    n = spec.n_modes
     kappa = spec.kappa_vector()
-    g = np.zeros((n, n), dtype=float)
+    fwd_rates, bwd_rates = np.zeros((2, spec.n_modes - 1))
     for k, bond in enumerate(spec.bonds):
         if bond.t_fwd == 0 and bond.t_bwd == 0:
             continue
@@ -242,9 +254,8 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
                 f"bond {k} produces a negative transition rate; the rate "
                 "description only applies when |t|^2 + Re(t_fwd t_bwd) >= 0"
             )
-        g[k, k + 1] = fwd
-        g[k + 1, k] = bwd
-    return RateMatrix(rates=g)
+        fwd_rates[k], bwd_rates[k] = fwd, bwd
+    return RateMatrix(fwd=fwd_rates, bwd=bwd_rates)
 
 
 # --- configuration mapping -------------------------------------------------

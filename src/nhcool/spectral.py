@@ -62,11 +62,7 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     NotGaugeReducible
         If some bond product is negative or has a nonzero imaginary part.
     """
-    h = np.asarray(hopping.matrix, dtype=complex)
-    n = h.shape[0]
-    sub = np.diag(h, -1)
-    sup = np.diag(h, 1)
-    prod = sub * sup
+    prod = hopping.fwd * hopping.bwd
     for k, p in enumerate(prod):
         if p == 0:
             raise SingularBond(
@@ -79,21 +75,14 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
 
     # Gauge ratio d_{k+1}/d_k = c_k / t_bwd_k maps h to a symmetric
     # tridiagonal matrix with off-diagonal c_k = sqrt(t_fwd_k * t_bwd_k).
-    if n == 1:
-        return SpectralDecomposition(
-            eigenvalues=np.array([h[0, 0].real]),
-            right_eigenvectors=np.ones((1, 1), dtype=complex),
-            log_gauge=np.zeros(1),
-            gauge_phase=np.ones(1, dtype=complex),
-        )
     offdiag = np.sqrt(prod.real)
-    ratio = offdiag / sup
+    ratio = offdiag / hopping.bwd
     log_gauge = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratio)))))
     gauge_phase = np.concatenate(
         ([1.0 + 0.0j], np.cumprod(ratio / np.abs(ratio)))
     )
 
-    eigenvalues, vecs = eigh_tridiagonal(np.real(np.diag(h)), offdiag)
+    eigenvalues, vecs = eigh_tridiagonal(np.zeros(len(log_gauge)), offdiag)
 
     # Un-gauge in log space, then normalize each column.
     with np.errstate(divide="ignore"):

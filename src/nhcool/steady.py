@@ -10,7 +10,8 @@ a GTH-style subtraction-free elimination that carries the dissipation slack
 explicitly, so every intermediate quantity is a sum, product or quotient of
 nonnegative numbers.  Each occupation therefore comes out with componentwise
 relative accuracy of a few ulps regardless of how small ``kappa`` is, and is
-nonnegative by construction.
+nonnegative by construction.  Rates are nearest-neighbour only, so ``M``
+is tridiagonal and the elimination takes O(N) time and memory.
 """
 
 from __future__ import annotations
@@ -70,57 +71,61 @@ class AttachedModeSpec:
             raise ValueError("n_th must be >= 0")
 
 
-def _gth_solve(rates: np.ndarray, slack: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the balance system by subtraction-free elimination.
+def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,
+               rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal balance system by subtraction-free elimination.
 
-    ``rates[i, j] >= 0`` is the transition rate i -> j, ``slack[i] >= 0`` the
-    dissipation of mode i and ``rhs[i] >= 0`` the bath injection.  Factors the
-    transposed system and keeps the row-sum slack through the elimination, so
-    no cancellation ever occurs.
+    ``up[k], down[k] >= 0`` are the transition rates k -> k+1 and k+1 -> k,
+    ``slack[k] >= 0`` the dissipation of mode k and ``rhs[k] >= 0`` the bath
+    injection.  Factors the transposed system (no fill-in) and keeps the
+    row-sum slack through the elimination, so no cancellation ever occurs.
     """
-    n = len(slack)
-    w = np.array(rates, dtype=float)  # current off-diagonal magnitudes
-    s = np.array(slack, dtype=float)
-    lower = np.zeros((n, n))
-    pivot = np.zeros(n)
+    up, down, s, rhs = up.tolist(), down.tolist(), slack.tolist(), rhs.tolist()
+    n = len(s)
+    pivot, mult = [], []
     for k in range(n - 1):
-        pivot[k] = w[k, k + 1 :].sum() + s[k]
+        pivot.append(up[k] + s[k])
         if pivot[k] == 0.0:
             raise SingularSystem(
                 f"mode {k} has neither outgoing transitions nor dissipation"
             )
-        mult = w[k + 1 :, k] / pivot[k]
-        lower[k + 1 :, k] = mult
-        w[k + 1 :, k + 1 :] += np.outer(mult, w[k, k + 1 :])
-        s[k + 1 :] += mult * s[k]
-    pivot[n - 1] = s[n - 1]
+        mult.append(down[k] / pivot[k])
+        s[k + 1] += mult[k] * s[k]
+    pivot.append(s[n - 1])
     if pivot[n - 1] == 0.0:
         raise SingularSystem("chain carries no dissipation at all")
 
-    z = np.zeros(n)
-    for k in range(n):
-        z[k] = (rhs[k] + w[:k, k] @ z[:k]) / pivot[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = z[k] + lower[k + 1 :, k] @ x[k + 1 :]
-    return x
+    x = [rhs[0] / pivot[0]] + [0.0] * (n - 1)
+    for k in range(1, n):
+        x[k] = (rhs[k] + up[k - 1] * x[k - 1]) / pivot[k]
+    for k in range(n - 2, -1, -1):
+        x[k] += mult[k] * x[k + 1]
+    return np.array(x)
 
 
-def _residual(rates: np.ndarray, kappa: np.ndarray, injection: np.ndarray,
-              occupations: np.ndarray) -> float:
+def _residual(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
+              injection: np.ndarray, occupations: np.ndarray) -> float:
     # Evaluated in extended precision so the reported number reflects the
     # solution, not the evaluation.
-    g = rates.astype(np.longdouble)
-    k = kappa.astype(np.longdouble)
-    x = occupations.astype(np.longdouble)
-    balance = (g.sum(axis=1) + k) * x - g.T @ x - injection.astype(np.longdouble)
-    return float(np.abs(balance).max())
+    up, down, k, b, x = (
+        v.astype(np.longdouble) for v in (up, down, kappa, injection, occupations)
+    )
+    outflow = np.append(0.0, down) + np.append(up, 0.0) + k
+    inflow = np.append(0.0, up * x[:-1]) + np.append(down * x[1:], 0.0)
+    return float(np.abs(outflow * x - inflow - b).max())
+
+
+def _solve_bands(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
+                 n_th: np.ndarray) -> SteadyState:
+    injection = kappa * n_th
+    occ = _gth_solve(up, down, kappa, injection)
+    return SteadyState(occupations=occ, residual=_residual(up, down, kappa, injection, occ))
 
 
 def solve_steady_rates(
     rates: np.ndarray, kappa: np.ndarray, n_th: np.ndarray
 ) -> SteadyState:
-    """Stationary occupations for an arbitrary nonnegative rate matrix.
+    """Stationary occupations for a nonnegative nearest-neighbour rate matrix.
 
     Mode ``i`` exchanges excitations with mode ``j`` at rate ``rates[i, j]``
     and relaxes toward ``n_th[i]`` at rate ``kappa[i]``.  Diagonal entries of
@@ -129,11 +134,14 @@ def solve_steady_rates(
 
     Raises
     ------
+    ValueError
+        If ``rates`` has the wrong shape, a negative entry, or a nonzero
+        entry beyond the nearest neighbours.
     SingularSystem
         If no mode carries dissipation, or some modes are disconnected from
         every bath.
     """
-    g = np.asarray(rates, dtype=float).copy()
+    g = np.asarray(rates, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     n_th = np.asarray(n_th, dtype=float)
     n = len(kappa)
@@ -145,16 +153,15 @@ def solve_steady_rates(
         raise SingularSystem(
             "all kappa vanish; the stationary state is not unique"
         )
-    np.fill_diagonal(g, 0.0)
-    injection = kappa * n_th
-    occ = _gth_solve(g, kappa, injection)
-    return SteadyState(occupations=occ, residual=_residual(g, kappa, injection, occ))
+    if np.any(np.triu(g, 2)) or np.any(np.tril(g, -2)):
+        raise ValueError("rates must couple nearest neighbours only")
+    return _solve_bands(np.diag(g, 1), np.diag(g, -1), kappa, n_th)
 
 
 def solve_steady_chain(spec: ChainSpec) -> SteadyState:
-    """Stationary occupations of a chain, from its transition-rate matrix."""
-    rates = build_rate_matrix(spec).rates
-    return solve_steady_rates(rates, spec.kappa_vector(), spec.n_th_vector())
+    """Stationary occupations of a chain, from its transition-rate bands."""
+    g = build_rate_matrix(spec)
+    return _solve_bands(g.fwd, g.bwd, spec.kappa_vector(), spec.n_th_vector())
 
 
 def closed_form_two_mode(
@@ -177,8 +184,8 @@ def closed_form_two_mode(
         bonds=(Bond(coupling * math.exp(asymmetry), coupling * math.exp(-asymmetry)),),
         reference_coupling=coupling,
     )
-    g = build_rate_matrix(two_mode).rates
-    g12, g21 = g[0, 1], g[1, 0]
+    g = build_rate_matrix(two_mode)
+    g12, g21 = g.fwd[0], g.bwd[0]
     det = g12 * kappa_2 + kappa_1 * g21 + kappa_1 * kappa_2
     n1 = n_th * (kappa_1 * g21 + kappa_1 * kappa_2 + g21 * kappa_2) / det
     n2 = n_th * (kappa_2 * g12 + kappa_1 * kappa_2 + g12 * kappa_1) / det

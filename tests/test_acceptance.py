@@ -12,7 +12,7 @@ equations contradict:
   amplified sectors and settles roughly twice as high at these parameters,
   however small n_th is.
 
-See notes/decisions.md (outside the package) for the full analysis.
+The README's "Install and test" section gives the full analysis of both.
 """
 
 import math

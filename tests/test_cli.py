@@ -124,13 +124,13 @@ class TestAttached:
         assert len(rows) == 9
         assert np.all(rows[:, 2] < 1.0)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        args = ["attached", "--n-modes", "5", "--kappa0-count", "4", "--t0-count", "4"]
-        assert main(args + ["--output", str(serial)]) == 0
-        assert main(args + ["--output", str(parallel), "--jobs", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_command_flags_read_from_config(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"n_modes": 4, "kappa0_count": 2, "t0_count": 3}))
+        out = tmp_path / "attached.csv"
+        assert main(["attached", "--config", str(cfg), "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 6
 
 
 class TestSteadyCommand:
@@ -220,6 +220,14 @@ class TestExitCodesAndDeterminism:
         assert main(["rabi", "--output", str(tmp_path / "x.csv"), "--grid", "0"]) == 2
         assert main(["steady", "--n-modes", "2", "--kappa", "-1",
                      "--output", str(tmp_path / "y.csv")]) == 2
+
+    @pytest.mark.parametrize("command,key", [("steady", "kapa"), ("attached", "jobs")])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, command, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"n_modes": 2, key: 4}))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_solver_error_exit_code(self, tmp_path):
         code = main(["steady", "--n-modes", "2", "--kappa", "0",

@@ -122,7 +122,7 @@ class TestSolveSteadyChain:
     @pytest.mark.parametrize(
         "n,kappa,asym",
         [(2, 1e-6, LN2), (3, 1e-6, LN2), (5, 1e-6, LN2), (8, 1e-6, 0.4),
-         (10, 0.01, LN2), (30, 0.01, LN2), (6, 0.5, 1.0)],
+         (10, 0.01, LN2), (30, 0.01, LN2), (6, 0.5, 1.0), (100, 1e-6, 3.0)],
     )
     def test_componentwise_accuracy_against_rational_oracle(self, n, kappa, asym):
         # the subtraction-free elimination keeps every component accurate even
@@ -150,6 +150,13 @@ class TestSolveSteadyChain:
         # what matters (previous test)
         ss = solve_steady_chain(make_uniform_chain(n, 1.0, LN2, kappa, 1.0))
         assert ss.residual <= 1e-10 * kappa * 1.0
+
+    def test_long_uniform_chain(self):
+        n = 100_000
+        ss = solve_steady_chain(make_uniform_chain(n, 1.0, LN2, 0.01, 0.5))
+        assert ss.occupations.sum() == pytest.approx(n * 0.5, rel=1e-10)
+        assert np.all(ss.occupations >= 0.0)
+        assert np.isfinite(ss.residual)
 
     def test_all_kappa_zero_uncoupled_raises(self):
         spec = ChainSpec(
@@ -218,6 +225,13 @@ class TestSolveSteadyRates:
         g = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             solve_steady_rates(g, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+
+    def test_rejects_rates_beyond_nearest_neighbours(self):
+        g = np.zeros((3, 3))
+        g[0, 1] = g[1, 0] = g[1, 2] = g[2, 1] = 1.0
+        g[2, 0] = 0.5
+        with pytest.raises(ValueError):
+            solve_steady_rates(g, np.full(3, 0.1), np.ones(3))
 
     def test_rejects_all_zero_kappa(self):
         g = np.array([[0.0, 1.0], [2.0, 0.0]])

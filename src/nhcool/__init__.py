@@ -3,10 +3,11 @@
 Three independent layers compute steady-state occupations and can be played
 against each other: closed-form / linear-algebra rate equations
 (:mod:`nhcool.steady`), spectral occupations of the gauge-reduced hopping
-matrix (:mod:`nhcool.spectral`) and time integration of the second moments
-(:mod:`nhcool.dynamics`).  A brute-force master-equation integrator on a
-truncated Fock space (:mod:`nhcool.oracle`) serves as ground truth for small
-systems, and :mod:`nhcool.cli` exposes everything as CSV-producing commands.
+matrix (:mod:`nhcool.spectral`) and the second-moment equations
+(:mod:`nhcool.dynamics`), solved directly for the stationary state or
+integrated for trajectories.  A brute-force master equation on a truncated
+Fock space (:mod:`nhcool.oracle`) serves as ground truth for small systems,
+and :mod:`nhcool.cli` exposes everything as CSV-producing commands.
 """
 
 from .dynamics import (
@@ -21,7 +22,6 @@ from .errors import (
     DimensionTooLarge,
     DivergentRate,
     InvalidRegime,
-    NotConverged,
     NotGaugeReducible,
     SingularBond,
     SingularSystem,
@@ -91,6 +91,6 @@ __all__ = [
     "evolve_master_equation", "oracle_steady",
     # errors
     "CoolingError", "DivergentRate", "NotGaugeReducible", "SingularBond",
-    "SingularSystem", "InvalidRegime", "ToleranceNotMet", "NotConverged",
+    "SingularSystem", "InvalidRegime", "ToleranceNotMet",
     "DimensionTooLarge", "TruncationWarning",
 ]

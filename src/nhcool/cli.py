@@ -89,11 +89,11 @@ class _Resolver:
         if key in self.config:
             return cast(self.config[key])
         if default is not None:
-            return default
+            return cast(default)
         return cast(DEFAULTS[key]) if key in DEFAULTS else None
 
     def chain(self, n_modes=None):
-        n = int(self.get("n_modes", n_modes, cast=int))
+        n = self.get("n_modes", n_modes, cast=int)
         cfg = {
             "n_modes": n,
             "t": self.get("t"),
@@ -120,11 +120,11 @@ def _int_list(text: str) -> list[int]:
 def cmd_rabi(args) -> int:
     res = _Resolver(args)
     spec = res.chain(n_modes=2)
-    periods = float(res.get("periods", 2.0))
-    grid = int(res.get("grid", 400, cast=int))
+    periods = res.get("periods", 2.0)
+    grid = res.get("grid", 400, cast=int)
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    start = int(res.get("start_site", 1, cast=int)) - 1  # sites are 1-based here
+    start = res.get("start_site", 1, cast=int) - 1  # sites are 1-based here
     t_ref = spec.reference_coupling
     tau = np.linspace(0.0, periods * math.pi / t_ref, grid)
     traj = dynamics.single_excitation_trace(spec, start, tau)
@@ -136,12 +136,12 @@ def cmd_rabi(args) -> int:
 
 def cmd_sweep_a(args) -> int:
     res = _Resolver(args)
-    lo = float(res.get("ea_min", 1.0))
-    hi = float(res.get("ea_max", 5.0))
-    count = int(res.get("ea_count", 100, cast=int))
-    kappa = float(res.get("kappa"))
-    n_th = float(res.get("n_th"))
-    t = float(res.get("t"))
+    lo = res.get("ea_min", 1.0)
+    hi = res.get("ea_max", 5.0)
+    count = res.get("ea_count", 100, cast=int)
+    kappa = res.get("kappa")
+    n_th = res.get("n_th")
+    t = res.get("t")
     rows = []
     for ea in np.linspace(lo, hi, count):
         n1, n2 = steady.closed_form_two_mode(t, math.log(ea), kappa, kappa, n_th)
@@ -157,8 +157,7 @@ def cmd_chain_profile(args) -> int:
     rows = []
     for n in sizes:
         spec = make_uniform_chain(
-            n, float(res.get("t")), float(res.get("A")),
-            float(res.get("kappa")), float(res.get("n_th")),
+            n, res.get("t"), res.get("A"), res.get("kappa"), res.get("n_th"),
         )
         occ = steady.solve_steady_chain(spec).occupations
         hn = spectral.spectral_occupations(
@@ -171,13 +170,13 @@ def cmd_chain_profile(args) -> int:
 
 def cmd_scaling(args) -> int:
     res = _Resolver(args)
-    n_min = int(res.get("n_min", 2, cast=int))
-    n_max = int(res.get("n_max", 30, cast=int))
+    n_min = res.get("n_min", 2, cast=int)
+    n_max = res.get("n_max", 30, cast=int)
     kappas = res.get("kappas", None, cast=str)
     kappas = _float_list(kappas) if kappas else [1e-4, 1e-3, 1e-2]
-    t = float(res.get("t"))
-    a = float(res.get("A"))
-    n_th = float(res.get("n_th"))
+    t = res.get("t")
+    a = res.get("A")
+    n_th = res.get("n_th")
     sizes = list(range(n_min, n_max + 1))
     spectral_edge = {}
     for n in sizes:
@@ -197,17 +196,16 @@ def cmd_scaling(args) -> int:
 
 def cmd_attached(args) -> int:
     res = _Resolver(args)
-    n = int(res.get("n_modes", 15, cast=int))
+    n = res.get("n_modes", 15, cast=int)
     spec = make_uniform_chain(
-        n, float(res.get("t")), float(res.get("A")),
-        float(res.get("kappa")), float(res.get("n_th")),
+        n, res.get("t"), res.get("A"), res.get("kappa"), res.get("n_th"),
     )
-    k_lo = float(res.get("kappa0_min", 1e-4))
-    k_hi = float(res.get("kappa0_max", 1e-1))
-    k_count = int(res.get("kappa0_count", 20, cast=int))
-    t_lo = float(res.get("t0_min", 0.05))
-    t_hi = float(res.get("t0_max", 2.0))
-    t_count = int(res.get("t0_count", 20, cast=int))
+    k_lo = res.get("kappa0_min", 1e-4)
+    k_hi = res.get("kappa0_max", 1e-1)
+    k_count = res.get("kappa0_count", 20, cast=int)
+    t_lo = res.get("t0_min", 0.05)
+    t_hi = res.get("t0_max", 2.0)
+    t_count = res.get("t0_count", 20, cast=int)
     kappa0_grid = np.geomspace(k_lo, k_hi, k_count)
     t0_grid = np.linspace(t_lo, t_hi, t_count)
     rows = []
@@ -222,13 +220,13 @@ def cmd_attached(args) -> int:
 def cmd_oracle(args) -> int:
     res = _Resolver(args)
     spec = res.chain(n_modes=2)
-    cutoff = int(res.get("cutoff", cast=int))
-    tol = float(res.get("tol"))
-    max_dev = float(res.get("max_rel_dev", 0.10))
-    dyn_dev = float(res.get("dyn_rel_dev", 1e-3))
+    cutoff = res.get("cutoff", cast=int)
+    tol = res.get("tol")
+    max_dev = res.get("max_rel_dev", 0.10)
+    dyn_dev = res.get("dyn_rel_dev", 1e-3)
     n_rate = steady.solve_steady_chain(spec).occupations
     n_dyn = dynamics.steady_from_dynamics(spec, tol=1e-6).occupations
-    n_orc = oracle.oracle_steady(spec, cutoff, tol=max(tol, 1e-8))
+    n_orc = oracle.oracle_steady(spec, cutoff, tol=tol)
     rows = [
         (i + 1, n_rate[i], n_dyn[i], n_orc[i]) for i in range(spec.n_modes)
     ]
@@ -253,9 +251,7 @@ def cmd_steady(args) -> int:
     spec = res.chain()
     t0 = res.get("t0", 0.0) if (args.t0 is not None or "t0" in res.config) else None
     if t0 is not None:
-        att = steady.AttachedModeSpec(
-            coupling=float(t0), kappa=float(res.get("kappa0"))
-        )
+        att = steady.AttachedModeSpec(coupling=t0, kappa=res.get("kappa0"))
         occ = steady.solve_with_attached(spec, att).occupations
         rows = [(i, occ[i]) for i in range(len(occ))]  # attached mode is site 0
     else:

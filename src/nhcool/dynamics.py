@@ -10,8 +10,11 @@ Two engines live here because no single linear equation covers both regimes:
   occupation dip below zero).
 * :func:`evolve_covariance` integrates the linearized equations of motion of
   the second moments ``C[i, j] = <a_i^dag a_j>``, valid for small occupations
-  in the presence of dissipation.  Its long-time limit cross-checks the
-  stationary rate-equation solver.
+  in the presence of dissipation.
+
+The fixed point of the same moment equations is a sparse linear system;
+:func:`steady_from_dynamics` solves it directly and so cross-checks the
+stationary rate-equation solver without going through the rate formula.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from ._stationary import integrate_to_stationarity
 from .errors import SingularSystem, ToleranceNotMet
 from .model import ChainSpec, build_hopping_matrix
 from .steady import SteadyState
@@ -134,9 +137,8 @@ def covariance_rhs(spec: ChainSpec, cov: np.ndarray) -> np.ndarray:
     return _MomentGenerator(spec)(cov)
 
 
-def _integration_atol(tol: float, n_th: np.ndarray) -> float:
-    scale = float(n_th.max()) if n_th.size and n_th.max() > 0 else 1.0
-    return tol * scale
+def _occupation_scale(n_th: np.ndarray) -> float:
+    return float(n_th.max()) if n_th.size and n_th.max() > 0 else 1.0
 
 
 def evolve_covariance(
@@ -152,6 +154,8 @@ def evolve_covariance(
     and absolute tolerance ``tol * max(n_th)``; reported times come from
     ``t_eval`` (dense interpolation) or from the accepted steps.
     """
+    from scipy.integrate import solve_ivp
+
     gen = _MomentGenerator(spec)
     n = gen.n
     cov0 = np.asarray(cov0, dtype=complex)
@@ -167,7 +171,7 @@ def evolve_covariance(
         cov0.ravel(),
         method="RK45",
         rtol=tol,
-        atol=_integration_atol(tol, gen.n_th),
+        atol=tol * _occupation_scale(gen.n_th),
         t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
     )
     if not sol.success:
@@ -177,59 +181,65 @@ def evolve_covariance(
     return Trajectory(times=sol.t, occupations=occupations, covariances=covs)
 
 
-def steady_from_dynamics(
-    spec: ChainSpec,
-    tol: float = 1e-6,
-    time_budget: float | None = None,
-) -> SteadyState:
-    """Stationary occupations found by integrating the moment equations.
+def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
+    """Stationary occupations of the moment equations, solved directly.
 
-    Starts from the uncorrelated bath state ``C = diag(n_th)`` and stops once
-    the max-norm of ``dC/dtau`` falls below ``tol * max(kappa) * max(n_th)``.
-    ``time_budget`` defaults to ``50 / min(kappa)``.
+    Under the bond-local closure the coherences between non-bonded modes only
+    decay, so the fixed point lives on the band: the ``N`` occupations and the
+    ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  Their
+    stationarity conditions, read off the moment generator, form a sparse
+    linear system that is solved by sparse LU with one step of iterative
+    refinement.  ``residual`` is the max-norm of ``dC/dtau`` at the returned
+    state.
 
     Raises
     ------
     SingularSystem
-        If some mode carries no dissipation (the transient never dies).
-    NotConverged
-        If the threshold is not reached within the time budget.
+        If some mode carries no dissipation (the transient never dies), or
+        the stationary system is numerically singular.
+    ToleranceNotMet
+        If the residual exceeds ``tol * max(kappa) * max(n_th)``.
     """
     gen = _MomentGenerator(spec)
     if not np.all(gen.kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")
     n = gen.n
-    scale = float(gen.n_th.max()) if gen.n_th.max() > 0 else 1.0
-    threshold = tol * float(gen.kappa.max()) * scale
-    budget = 50.0 / float(gen.kappa.min()) if time_budget is None else float(time_budget)
-    cov0 = np.diag(gen.n_th).astype(complex)
-
-    def rhs(_t, y):
-        return gen(y.reshape(n, n)).ravel()
-
-    def derivative_norm(y):
-        return float(np.abs(gen(y.reshape(n, n))).max())
-
-    # The generator amplifies integration wobble into |dC/dtau| and the RMS
-    # error norm lets single components drift sqrt(dim) above the tolerance,
-    # so local error control must sit well below threshold / (|generator| *
-    # sqrt(dim)).  The eighth-order pair reaches a given wobble floor at a
-    # fraction of the cost of the 4/5 pair used for plain trajectories.
-    row_sums = np.abs(np.append(0.0, gen.t_fwd)) + np.abs(np.append(gen.t_bwd, 0.0))
-    gen_scale = max(1.0, float(row_sums.max()) + float(gen.kappa.max()))
-    integ_tol = float(np.clip(threshold / (20.0 * gen_scale * n * scale), 1e-13, 1e-8))
-    final = integrate_to_stationarity(
-        rhs,
-        derivative_norm,
-        cov0.ravel(),
-        threshold=threshold,
-        budget=budget,
-        chunk=2.0 / float(gen.kappa.max()),
-        rtol=integ_tol,
-        atol=_integration_atol(integ_tol, gen.n_th),
-    )
-    cov = final.reshape(n, n)
-    return SteadyState(
-        occupations=np.real(np.diag(cov)).copy(),
-        residual=float(np.abs(gen(cov)).max()),
-    )
+    # unknowns: occupations n_i, then C[k, k+1], then C[k+1, k]
+    occ = np.arange(n)
+    up = n + np.arange(n - 1)
+    lo = up + (n - 1)
+    left, right = occ[:-1], occ[1:]
+    bond_decay = gen.decay[left, right]
+    # (row, column, coefficient) of every term of the generator on the band
+    terms = [
+        (occ, occ, -gen.kappa),
+        # bond k's current enters dn_k and leaves dn_{k+1}
+        (left, lo, 1j * gen.t_fwd), (left, up, -1j * gen.t_bwd),
+        (right, lo, -1j * gen.t_fwd), (right, up, 1j * gen.t_bwd),
+        # each bond coherence is driven by its two occupations and decays
+        (up, up, -bond_decay), (up, right, 1j * np.conj(gen.t_bwd)), (up, left, -1j * gen.t_fwd),
+        (lo, lo, -bond_decay), (lo, left, 1j * np.conj(gen.t_fwd)), (lo, right, -1j * gen.t_bwd),
+    ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    system = sp.csc_matrix((vals, (rows, cols)), shape=(3 * n - 2, 3 * n - 2))
+    rhs = np.zeros(3 * n - 2, dtype=complex)
+    rhs[:n] = -gen.pump
+    try:
+        lu = splu(system)
+    except RuntimeError as exc:
+        raise SingularSystem(f"the stationary moment system is singular: {exc}") from exc
+    # One refinement step makes the LU solve componentwise backward stable,
+    # which keeps the smallest occupations accurate to a few ulps.
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - system @ x)
+    cov = np.zeros((n, n), dtype=complex)
+    cov[occ, occ] = x[:n]
+    cov[left, right] = x[up]
+    cov[right, left] = x[lo]
+    residual = float(np.abs(gen(cov)).max())
+    threshold = tol * float(gen.kappa.max()) * _occupation_scale(gen.n_th)
+    if residual > threshold:
+        raise ToleranceNotMet(
+            f"stationary moment residual {residual:.3e} exceeds {threshold:.3e}"
+        )
+    return SteadyState(occupations=np.real(x[:n]).copy(), residual=residual)

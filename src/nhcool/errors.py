@@ -26,11 +26,7 @@ class InvalidRegime(CoolingError):
 
 
 class ToleranceNotMet(CoolingError):
-    """The adaptive integrator could not meet the requested tolerance."""
-
-
-class NotConverged(CoolingError):
-    """A long-time integration did not reach stationarity within its time budget."""
+    """An integration or a stationary solve could not meet the requested tolerance."""
 
 
 class DimensionTooLarge(CoolingError):

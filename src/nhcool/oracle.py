@@ -1,7 +1,7 @@
-"""Brute-force master-equation integration on a truncated Fock space.
+"""Brute-force master equation on a truncated Fock space.
 
-This is the ground-truth layer: it integrates the trace-corrected master
-equation for a non-Hermitian Hamiltonian,
+This is the ground-truth layer: the trace-corrected master equation for a
+non-Hermitian Hamiltonian,
 
     drho/dtau = -i (H rho - rho H^dag) + i Tr{rho (H - H^dag)} rho
                 + sum_i D[o_i] rho,
@@ -9,7 +9,13 @@ equation for a non-Hermitian Hamiltonian,
 with the standard thermal dissipators ``o_down = sqrt(kappa (1 + n_th)) a``
 and ``o_up = sqrt(kappa n_th) a^dag`` per mode.  The trace-correction term
 makes ``d Tr rho / dtau`` vanish identically, which doubles as the main
-correctness check.  Everything is dense; the Hilbert dimension is capped at
+correctness check.  Written as ``rho' = L0 rho - Tr(L0 rho) rho`` with the
+linear Liouvillian ``L0``, its stable fixed point is the eigenvector of
+``L0`` whose eigenvalue has the largest real part; :func:`oracle_steady`
+computes it on the blocks of ``rho`` that are diagonal in total boson number
+(the only blocks the thermal start state reaches), while
+:func:`evolve_master_equation` integrates trajectories.  Everything is dense;
+the Hilbert dimension and the Liouvillian block are capped at
 ``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
 """
 
@@ -20,9 +26,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import eig
 
-from ._stationary import integrate_to_stationarity
 from .errors import (
     DimensionTooLarge,
     SingularSystem,
@@ -192,6 +197,8 @@ def evolve_master_equation(
     tol: float = 1e-8,
 ) -> FockDensityMatrix:
     """Integrate the trace-corrected master equation up to ``t_end``."""
+    from scipy.integrate import solve_ivp
+
     gen = _MasterEquation(spec, rho0.cutoff)
     if rho0.n_modes != spec.n_modes:
         raise ValueError("initial state and chain have different mode counts")
@@ -217,48 +224,79 @@ def evolve_master_equation(
     return state
 
 
-def oracle_steady(
-    spec: ChainSpec,
-    cutoff: int,
-    tol: float = 1e-7,
-    time_budget: float | None = None,
-) -> np.ndarray:
-    """Long-time occupations of the full master equation.
+def _sector_pairs(n_modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(a, b)`` of Fock states with equal total boson number.
 
-    Integrates from the product thermal state until the max-norm of
-    ``drho/dtau`` falls below ``tol``; the budget defaults to
-    ``50 / min(kappa)``.
+    Raises :class:`DimensionTooLarge` when there are more than
+    ``MAX_DIMENSION`` pairs, before any Liouvillian is allocated.
+    """
+    _check_dimension(n_modes, cutoff)
+    total = np.indices((cutoff,) * n_modes).reshape(n_modes, -1).sum(axis=0)
+    sectors = [np.flatnonzero(total == count) for count in range(total.max() + 1)]
+    size = sum(len(states) ** 2 for states in sectors)
+    if size > MAX_DIMENSION:
+        raise DimensionTooLarge(
+            f"number-diagonal Liouvillian block has {size} rows, exceeding the "
+            f"dense guard rail {MAX_DIMENSION}"
+        )
+    left = np.concatenate([np.repeat(states, len(states)) for states in sectors])
+    right = np.concatenate([np.tile(states, len(states)) for states in sectors])
+    return left, right
+
+
+def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray:
+    """Stationary occupations of the full master equation.
+
+    The fixed point reached from the product thermal state is the leading
+    eigenvector of the linear Liouvillian ``L0`` restricted to the blocks of
+    ``rho`` diagonal in total boson number, normalized to unit trace.  With
+    ``rho`` flattened row-major, ``A rho B`` acts as ``kron(A, B.T)``; the
+    block keeps the rows and columns of that Kronecker product whose index
+    pairs have equal total number, and a dense eigensolve does the rest.
+
+    Raises
+    ------
+    SingularSystem
+        If some mode carries no dissipation, or the leading eigenvalue is
+        not real and simple (no unique stationary state).
+    DimensionTooLarge
+        If the number-diagonal block has more than ``MAX_DIMENSION`` rows.
+    ToleranceNotMet
+        If the max-norm of ``drho/dtau`` at the result exceeds ``tol``.
     """
     kappa = spec.kappa_vector()
     if not np.all(kappa > 0):
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")
+    left, right = _sector_pairs(spec.n_modes, cutoff)
     gen = _MasterEquation(spec, cutoff)
-    dim = gen.dim
-    rho0 = thermal_state(spec, cutoff)
-    budget = 50.0 / float(kappa.min()) if time_budget is None else float(time_budget)
 
-    def rhs(_t, y):
-        return gen(y.reshape(dim, dim)).ravel()
+    def block(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+        # rows and columns of kron(a, b_t) on the retained index pairs
+        return a[np.ix_(left, left)] * b_t[np.ix_(right, right)]
 
-    def derivative_norm(y):
-        return float(np.abs(gen(y.reshape(dim, dim))).max())
-
-    # Local error control must sit below tol / (|generator| * sqrt(dim)) or
-    # the integration wobble keeps |drho/dtau| pinned above the threshold.
-    gen_scale = max(1.0, float(np.abs(gen.ham).sum(axis=1).max()))
-    integ_tol = float(np.clip(tol / (20.0 * gen_scale * dim), 1e-12, 1e-8))
-    final = integrate_to_stationarity(
-        rhs,
-        derivative_norm,
-        rho0.rho.ravel(),
-        threshold=tol,
-        budget=budget,
-        chunk=2.0 / float(kappa.max()),
-        rtol=integ_tol,
-        atol=integ_tol,
-    )
-    state = FockDensityMatrix(
-        rho=final.reshape(dim, dim), cutoff=cutoff, n_modes=spec.n_modes
-    )
+    eye = np.eye(gen.dim)
+    liouvillian = -1j * (block(gen.ham, eye) - block(eye, gen.ham_dag.T))
+    for op, _op_dag, op_norm in gen.jumps:
+        liouvillian += block(op, op.conj())
+        liouvillian -= 0.5 * (block(op_norm, eye) + block(eye, op_norm.T))
+    evals, evecs = eig(liouvillian)
+    order = np.argsort(evals.real)[::-1]
+    lead = evals[order[0]]
+    gap = lead.real - evals[order[1]].real  # cutoff >= 2: at least two rows
+    floor = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.abs(evals).max()))
+    if abs(lead.imag) > floor or gap <= floor:
+        raise SingularSystem(
+            f"leading Liouvillian eigenvalue {lead:.3e} is not real and simple "
+            f"(gap {gap:.3e})"
+        )
+    rho = np.zeros((gen.dim, gen.dim), dtype=complex)
+    rho[left, right] = evecs[:, order[0]]
+    rho /= np.trace(rho)
+    residual = float(np.abs(gen(rho)).max())
+    if residual > tol:
+        raise ToleranceNotMet(
+            f"stationary master-equation residual {residual:.3e} exceeds {tol:.3e}"
+        )
+    state = FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=spec.n_modes)
     _warn_on_truncation(state)
     return state.occupations()

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nhcool import (
-    NotConverged,
+    Bond,
+    ChainSpec,
+    ModeParams,
     SingularSystem,
+    ToleranceNotMet,
     closed_form_two_mode,
     covariance_rhs,
     evolve_covariance,
@@ -142,11 +147,15 @@ class TestEvolveCovariance:
         assert worst <= 1e-10
 
     def test_long_time_diagonal_matches_closed_form(self):
-        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
-        ss = steady_from_dynamics(spec, tol=4e-7)
-        n1, n2 = closed_form_two_mode(1.0, LN2, 0.01, 0.01, 1.0)
-        assert ss.occupations[0] == pytest.approx(n1, rel=1e-6)
-        assert ss.occupations[1] == pytest.approx(n2, rel=1e-6)
+        # the integrated flow converges to the direct stationary solve, which
+        # is the two-mode closed form; kappa * tau = 40 leaves e^-40 transient
+        spec = make_uniform_chain(2, 1.0, LN2, 0.5, 1.0)
+        cov0 = np.diag(spec.n_th_vector()).astype(complex)
+        traj = evolve_covariance(spec, cov0, 80.0, tol=1e-10, t_eval=[80.0])
+        ss = steady_from_dynamics(spec)
+        assert traj.occupations[-1] == pytest.approx(ss.occupations, rel=1e-8)
+        n1, n2 = closed_form_two_mode(1.0, LN2, 0.5, 0.5, 1.0)
+        assert ss.occupations == pytest.approx([n1, n2], rel=1e-14)
 
     def test_reported_grid_is_caller_grid(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
@@ -169,7 +178,7 @@ class TestSteadyFromDynamics:
         spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
         dyn = steady_from_dynamics(spec, tol=1e-5).occupations
         rate = solve_steady_chain(spec).occupations
-        assert dyn == pytest.approx(rate, rel=1e-4)
+        assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kappa", [0.005, 0.01, 0.05])
     @pytest.mark.parametrize("gain", [1.5, 2.0])
@@ -178,13 +187,74 @@ class TestSteadyFromDynamics:
         spec = make_uniform_chain(n, 1.0, math.log(gain), kappa, 1.0)
         dyn = steady_from_dynamics(spec, tol=1e-4).occupations
         rate = solve_steady_chain(spec).occupations
-        assert np.abs(dyn / rate - 1.0).max() <= 1e-3
+        assert np.abs(dyn / rate - 1.0).max() <= 1e-12
 
     def test_rejects_bathless_chain(self):
         with pytest.raises(SingularSystem):
             steady_from_dynamics(make_uniform_chain(2, 1.0, 0.0, 0.0, 1.0))
 
-    def test_not_converged_on_tiny_budget(self):
-        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
-        with pytest.raises(NotConverged):
-            steady_from_dynamics(spec, tol=1e-6, time_budget=3.0)
+    def test_residual_gated_on_tol(self):
+        spec = make_uniform_chain(4, 1.0, LN2, 0.01, 1.0)
+        ss = steady_from_dynamics(spec, tol=1e-12)
+        assert 0.0 < ss.residual <= 1e-12 * 0.01 * 1.0
+        with pytest.raises(ToleranceNotMet):
+            steady_from_dynamics(spec, tol=1e-30)
+
+    def test_tiny_occupations_stay_componentwise_accurate(self):
+        # occupations span 12 decades; a plain LU solve without refinement
+        # gets the smallest ones wrong in the fourth digit
+        t = [3.0, 0.1, 3.0, 3.0, 0.1, 3.0]
+        a = [-3.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+        kappa = [1.0, 1.0, 1.0, 1.0, 1e-4, 1.0, 1.0]
+        n_th = [0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 2.0]
+        spec = ChainSpec(
+            modes=tuple(ModeParams(k, m) for k, m in zip(kappa, n_th)),
+            bonds=tuple(Bond(tk * math.exp(ak), tk * math.exp(-ak)) for tk, ak in zip(t, a)),
+        )
+        dyn = steady_from_dynamics(spec).occupations
+        rate = solve_steady_chain(spec).occupations
+        assert rate.min() < 1e-14
+        assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+    def test_long_small_kappa_chain(self):
+        spec = make_uniform_chain(1000, 1.0, 3.0, 1e-6, 1.0)
+        dyn = steady_from_dynamics(spec).occupations
+        rate = solve_steady_chain(spec).occupations
+        assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+
+def _ends_or_inside(lo, hi, inside):
+    """Draw the interval's end points often: mixing them makes the hardest chains."""
+    return st.sampled_from([lo, hi]) | inside
+
+
+@st.composite
+def random_chains(draw):
+    """Chains with random per-bond (t, A) and per-mode (kappa, n_th)."""
+    n = draw(st.integers(1, 200))
+    bond_params = st.tuples(
+        _ends_or_inside(0.1, 3.0, st.floats(0.1, 3.0)),
+        _ends_or_inside(-3.0, 3.0, st.floats(-3.0, 3.0)),
+    )
+    mode_params = st.tuples(
+        _ends_or_inside(1e-4, 1.0, st.floats(-4.0, 0.0).map(lambda e: 10.0**e)),
+        _ends_or_inside(0.0, 2.0, st.floats(0.0, 2.0)),
+    )
+    bonds = tuple(
+        Bond(t * math.exp(a), t * math.exp(-a))
+        for t, a in draw(st.lists(bond_params, min_size=n - 1, max_size=n - 1))
+    )
+    modes = tuple(
+        ModeParams(kappa, n_th)
+        for kappa, n_th in draw(st.lists(mode_params, min_size=n, max_size=n))
+    )
+    return ChainSpec(modes=modes, bonds=bonds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_chains())
+def test_direct_moment_solve_matches_rate_solver(spec):
+    dyn = steady_from_dynamics(spec).occupations
+    rate = solve_steady_chain(spec).occupations
+    assert np.all(dyn >= 0.0)
+    assert np.all(np.abs(dyn - rate) <= 1e-9 * rate)

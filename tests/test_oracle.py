@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from nhcool import (
     DimensionTooLarge,
     ModeParams,
     SingularSystem,
+    ToleranceNotMet,
     TruncationWarning,
+    build_hopping_matrix,
     closed_form_two_mode,
     evolve_master_equation,
     make_uniform_chain,
@@ -25,6 +28,34 @@ LN2 = math.log(2.0)
 def rabi_closed_form(tau):
     c2, s2 = math.cos(tau) ** 2, math.sin(tau) ** 2
     return c2 / (c2 + 4.0 * s2)
+
+
+def full_liouvillian_occupations(spec, cutoff):
+    """Leading eigenvector of the Liouvillian on the whole ``dim**2`` space."""
+    n = spec.n_modes
+    dim = cutoff**n
+    single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    lowering = [
+        reduce(np.kron, [single if j == i else np.eye(cutoff) for j in range(n)])
+        for i in range(n)
+    ]
+    h = build_hopping_matrix(spec).matrix
+    ham = sum(h[i, j] * lowering[i].T @ lowering[j] for i in range(n) for j in range(n))
+    eye = np.eye(dim)
+    # row-major vec(A rho B) = kron(A, B.T) vec(rho)
+    liou = -1j * (np.kron(ham, eye) - np.kron(eye, ham.conj()))
+    for a, mode in zip(lowering, spec.modes):
+        for op in (math.sqrt(mode.kappa * (1 + mode.n_th)) * a,
+                   math.sqrt(mode.kappa * mode.n_th) * a.T):
+            norm = op.T @ op
+            liou += np.kron(op, op) - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm))
+    evals, evecs = np.linalg.eig(liou)
+    rho = evecs[:, np.argmax(evals.real)].reshape(dim, dim)
+    pops = np.real(np.diag(rho / np.trace(rho))).reshape((cutoff,) * n)
+    levels = np.arange(cutoff)
+    return np.array([
+        pops.sum(axis=tuple(ax for ax in range(n) if ax != i)) @ levels for i in range(n)
+    ])
 
 
 class TestThermalState:
@@ -175,3 +206,41 @@ class TestOracleSteady:
     def test_rejects_bathless_chain(self):
         with pytest.raises(SingularSystem):
             oracle_steady(make_uniform_chain(2, 1.0, LN2, 0.0, 0.1), 4)
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    @pytest.mark.parametrize("n_modes, cutoff", [(2, 4), (3, 3)])
+    def test_matches_full_space_liouvillian(self, n_modes, cutoff):
+        spec = ChainSpec(
+            modes=tuple(ModeParams(0.04 + 0.02 * i, 0.05 + 0.05 * i) for i in range(n_modes)),
+            bonds=tuple(Bond(1.3 * (1 + 0.2 * k), 0.6 / (1 + 0.2 * k))
+                        for k in range(n_modes - 1)),
+        )
+        occ = oracle_steady(spec, cutoff, tol=1e-10)
+        assert occ == pytest.approx(full_liouvillian_occupations(spec, cutoff), abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_integrated_flow_converges_to_stationary_solve(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.1)
+        state = evolve_master_equation(spec, thermal_state(spec, 5), 200.0, tol=1e-9)
+        assert state.occupations() == pytest.approx(oracle_steady(spec, 5), abs=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_three_modes_cutoff_four(self):
+        # block of 580 rows; success means max|drho/dtau| <= tol
+        occ = oracle_steady(make_uniform_chain(3, 1.0, LN2, 0.05, 0.1), 4, tol=1e-9)
+        assert np.all(occ >= 0.0)
+        assert occ[0] < 0.1 < occ[2]
+
+    def test_residual_gated_on_tol(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            with pytest.raises(ToleranceNotMet):
+                oracle_steady(spec, 4, tol=1e-30)
+
+    def test_sector_block_guard(self):
+        # 19**2 = 361 Fock states pass the state guard, but the
+        # number-diagonal block has sum_N dim_N**2 = 4579 > 4096 rows
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        with pytest.raises(DimensionTooLarge):
+            oracle_steady(spec, 19)

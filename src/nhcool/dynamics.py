@@ -12,14 +12,18 @@ Two engines live here because no single linear equation covers both regimes:
   the second moments ``C[i, j] = <a_i^dag a_j>``, valid for small occupations
   in the presence of dissipation.
 
-The fixed point of the same moment equations is a sparse linear system;
-:func:`steady_from_dynamics` solves it directly and so cross-checks the
-stationary rate-equation solver without going through the rate formula.
+The moment equations are written once, as a sparse operator on the band
+(occupations and nearest-neighbour coherences; the other coherences only
+decay).  Its fixed point is a sparse linear system that
+:func:`steady_from_dynamics` solves directly, in O(N) time and memory, and
+so cross-checks the stationary rate-equation solver without going through
+the rate formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,7 +89,7 @@ def single_excitation_trace(
 
 
 class _MomentGenerator:
-    """Cached right-hand side of the linearized second-moment equations.
+    """Linearized second-moment equations, written once as a band operator.
 
     Occupations follow ``dn_i = sum_bonds i [t_ij <a_i a_j^dag> - t_ji
     <a_i^dag a_j>] - kappa_i (n_i - n_th_i)`` and each bond coherence is
@@ -99,32 +103,53 @@ class _MomentGenerator:
     longer-range couplings lets the next-nearest pair coherence grow to the
     size of an occupation and rewires the transport away from the
     nearest-neighbour rate picture).
+
+    The band (the ``N`` occupations, then ``C[k, k+1]``, then ``C[k+1, k]``)
+    therefore evolves on its own: ``system`` is the sparse ``(3N - 2)``-square
+    matrix of those equations and ``source`` the thermal pump, so
+    ``band(x) = system @ x + source`` is ``dC/dtau`` on the band.  Calling
+    the generator on a full ``N x N`` matrix adds the pure decay of the
+    entries off the band.
     """
 
     def __init__(self, spec: ChainSpec):
-        self.n = spec.n_modes
+        n = self.n = spec.n_modes
         hop = build_hopping_matrix(spec)
-        self.t_fwd, self.t_bwd = hop.fwd, hop.bwd
+        t_fwd, t_bwd = hop.fwd, hop.bwd
         self.kappa = spec.kappa_vector()
         self.n_th = spec.n_th_vector()
-        self.decay = 0.5 * (self.kappa[:, None] + self.kappa[None, :])
-        self.pump = self.kappa * self.n_th
+        occ = np.arange(n)
+        up = n + np.arange(n - 1)
+        lo = up + (n - 1)
+        left, right = occ[:-1], occ[1:]
+        bond_decay = 0.5 * (self.kappa[:-1] + self.kappa[1:])
+        # (row, column, coefficient) of every term of the equations on the band
+        terms = [
+            (occ, occ, -self.kappa),
+            # bond k's current enters dn_k and leaves dn_{k+1}
+            (left, lo, 1j * t_fwd), (left, up, -1j * t_bwd),
+            (right, lo, -1j * t_fwd), (right, up, 1j * t_bwd),
+            # each bond coherence is driven by its two occupations and decays
+            (up, up, -bond_decay), (up, right, 1j * np.conj(t_bwd)), (up, left, -1j * t_fwd),
+            (lo, lo, -bond_decay), (lo, left, 1j * np.conj(t_fwd)), (lo, right, -1j * t_bwd),
+        ]
+        rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+        self.system = sp.csc_matrix((vals, (rows, cols)), shape=(3 * n - 2, 3 * n - 2))
+        self.source = np.zeros(3 * n - 2, dtype=complex)
+        self.source[:n] = self.kappa * self.n_th
+        # flat positions of the band unknowns in a row-major N x N matrix
+        self.band_pos = np.concatenate([occ * (n + 1), left * n + right, right * n + left])
+
+    @cached_property
+    def decay(self) -> np.ndarray:
+        return -0.5 * (self.kappa[:, None] + self.kappa[None, :])
+
+    def band(self, x: np.ndarray) -> np.ndarray:
+        return self.system @ x + self.source
 
     def __call__(self, cov: np.ndarray) -> np.ndarray:
-        occ = np.diag(cov)
-        out = -self.decay * cov
-        # bond k adds this current to dn_k and removes it from dn_{k+1}
-        current = 1j * (self.t_fwd * np.diagonal(cov, -1) - self.t_bwd * np.diagonal(cov, 1))
-        gain = self.pump.astype(complex)
-        gain[:-1] += current
-        gain[1:] -= current
-        upper = 1j * (np.conj(self.t_bwd) * occ[1:] - self.t_fwd * occ[:-1])
-        lower = 1j * (np.conj(self.t_fwd) * occ[:-1] - self.t_bwd * occ[1:])
-        idx = np.arange(self.n - 1)
-        out[idx, idx + 1] += upper
-        out[idx + 1, idx] += lower
-        # decay already contributes -kappa_i * n_i on the diagonal
-        out[np.diag_indices(self.n)] += gain
+        out = self.decay * cov
+        out.flat[self.band_pos] = self.band(cov.flat[self.band_pos])
         return out
 
 
@@ -186,11 +211,10 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
 
     Under the bond-local closure the coherences between non-bonded modes only
     decay, so the fixed point lives on the band: the ``N`` occupations and the
-    ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  Their
-    stationarity conditions, read off the moment generator, form a sparse
-    linear system that is solved by sparse LU with one step of iterative
-    refinement.  ``residual`` is the max-norm of ``dC/dtau`` at the returned
-    state.
+    ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  The
+    generator's band operator is factored by sparse LU and the solve takes
+    one step of iterative refinement.  ``residual`` is the max-norm of
+    ``dC/dtau`` at the returned state, evaluated on the band.
 
     Raises
     ------
@@ -203,43 +227,18 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     gen = _MomentGenerator(spec)
     if not np.all(gen.kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")
-    n = gen.n
-    # unknowns: occupations n_i, then C[k, k+1], then C[k+1, k]
-    occ = np.arange(n)
-    up = n + np.arange(n - 1)
-    lo = up + (n - 1)
-    left, right = occ[:-1], occ[1:]
-    bond_decay = gen.decay[left, right]
-    # (row, column, coefficient) of every term of the generator on the band
-    terms = [
-        (occ, occ, -gen.kappa),
-        # bond k's current enters dn_k and leaves dn_{k+1}
-        (left, lo, 1j * gen.t_fwd), (left, up, -1j * gen.t_bwd),
-        (right, lo, -1j * gen.t_fwd), (right, up, 1j * gen.t_bwd),
-        # each bond coherence is driven by its two occupations and decays
-        (up, up, -bond_decay), (up, right, 1j * np.conj(gen.t_bwd)), (up, left, -1j * gen.t_fwd),
-        (lo, lo, -bond_decay), (lo, left, 1j * np.conj(gen.t_fwd)), (lo, right, -1j * gen.t_bwd),
-    ]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    system = sp.csc_matrix((vals, (rows, cols)), shape=(3 * n - 2, 3 * n - 2))
-    rhs = np.zeros(3 * n - 2, dtype=complex)
-    rhs[:n] = -gen.pump
     try:
-        lu = splu(system)
+        lu = splu(gen.system)
     except RuntimeError as exc:
         raise SingularSystem(f"the stationary moment system is singular: {exc}") from exc
     # One refinement step makes the LU solve componentwise backward stable,
     # which keeps the smallest occupations accurate to a few ulps.
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - system @ x)
-    cov = np.zeros((n, n), dtype=complex)
-    cov[occ, occ] = x[:n]
-    cov[left, right] = x[up]
-    cov[right, left] = x[lo]
-    residual = float(np.abs(gen(cov)).max())
+    x = lu.solve(-gen.source)
+    x -= lu.solve(gen.band(x))
+    residual = float(np.abs(gen.band(x)).max())
     threshold = tol * float(gen.kappa.max()) * _occupation_scale(gen.n_th)
     if residual > threshold:
         raise ToleranceNotMet(
             f"stationary moment residual {residual:.3e} exceeds {threshold:.3e}"
         )
-    return SteadyState(occupations=np.real(x[:n]).copy(), residual=residual)
+    return SteadyState(occupations=np.real(x[:gen.n]).copy(), residual=residual)

@@ -230,32 +230,31 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
     Raises
     ------
     DivergentRate
-        If a bond with nonzero amplitude joins two modes whose dissipation
-        rates are both zero.
+        If a bond with nonzero amplitude joins two modes without dissipation.
     ValueError
         If a (necessarily non-canonical) bond produces a negative rate.
     """
+    hop = build_hopping_matrix(spec)
     kappa = spec.kappa_vector()
-    fwd_rates, bwd_rates = np.zeros((2, spec.n_modes - 1))
-    for k, bond in enumerate(spec.bonds):
-        if bond.t_fwd == 0 and bond.t_bwd == 0:
-            continue
-        ksum = kappa[k] + kappa[k + 1]
-        if ksum == 0.0:
+    # a bond with both amplitudes zero has zero rates, whatever its kappas
+    ksum = np.where((hop.fwd != 0) | (hop.bwd != 0), kappa[:-1] + kappa[1:], 1.0)
+    cross = (hop.fwd * hop.bwd).real
+    # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fwd, bwd = 2.0 * (np.float_power(np.abs([hop.fwd, hop.bwd]), 2) + cross) / ksum
+    bad = np.flatnonzero((ksum == 0.0) | (fwd < 0) | (bwd < 0))
+    if bad.size:
+        k = bad[0]
+        if ksum[k] == 0.0:
             raise DivergentRate(
                 f"bond {k} couples modes {k} and {k + 1} but kappa_{k} + "
                 f"kappa_{k + 1} = 0; the transition rate diverges"
             )
-        cross = (complex(bond.t_fwd) * complex(bond.t_bwd)).real
-        fwd = 2.0 * (abs(bond.t_fwd) ** 2 + cross) / ksum
-        bwd = 2.0 * (abs(bond.t_bwd) ** 2 + cross) / ksum
-        if fwd < 0 or bwd < 0:
-            raise ValueError(
-                f"bond {k} produces a negative transition rate; the rate "
-                "description only applies when |t|^2 + Re(t_fwd t_bwd) >= 0"
-            )
-        fwd_rates[k], bwd_rates[k] = fwd, bwd
-    return RateMatrix(fwd=fwd_rates, bwd=bwd_rates)
+        raise ValueError(
+            f"bond {k} produces a negative transition rate; the rate "
+            "description only applies when |t|^2 + Re(t_fwd t_bwd) >= 0"
+        )
+    return RateMatrix(fwd=fwd, bwd=bwd)
 
 
 # --- configuration mapping -------------------------------------------------

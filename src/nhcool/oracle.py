@@ -148,13 +148,12 @@ class _MasterEquation:
         self.cutoff = cutoff
         self.dim = _check_dimension(spec.n_modes, cutoff)
         lowering = _lowering_operators(spec.n_modes, cutoff)
-        h_single = build_hopping_matrix(spec).matrix
+        hop = build_hopping_matrix(spec)
         ham = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(spec.n_modes):
-            for j in range(spec.n_modes):
-                if h_single[i, j] != 0:
-                    # h[i, j] multiplies a_i^dag a_j on the full space
-                    ham += h_single[i, j] * (lowering[i].conj().T @ lowering[j])
+        for k in range(spec.n_modes - 1):
+            # bond k: t_bwd multiplies a_k^dag a_{k+1}, t_fwd multiplies a_{k+1}^dag a_k
+            ham += hop.bwd[k] * (lowering[k].conj().T @ lowering[k + 1])
+            ham += hop.fwd[k] * (lowering[k + 1].conj().T @ lowering[k])
         self.ham = ham
         self.ham_dag = ham.conj().T
         self.ham_skew = ham - self.ham_dag

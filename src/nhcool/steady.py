@@ -38,13 +38,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary occupations together with the balance-equation residual.
+    """Stationary occupations together with the residual of their equations.
 
-    ``residual`` is the max-norm of ``M n - b`` evaluated in extended
+    From :func:`solve_steady_chain` and its relatives ``residual`` is the
+    balance residual: the max-norm of ``M n - b`` evaluated in extended
     precision on the returned occupations.  Because the occupations are
     stored as doubles it cannot drop below roughly ``eps * max_i sum_j
     |M[i, j]| n_j``, which exceeds ``1e-10 * |b|`` once ``kappa`` is small;
-    the occupations themselves remain componentwise accurate there.
+    the occupations themselves remain componentwise accurate there.  From
+    :func:`nhcool.dynamics.steady_from_dynamics` it is ``max |dC/dtau|`` of
+    the moment equations at the returned state.
     """
 
     occupations: np.ndarray

@@ -117,6 +117,45 @@ class TestMomentEquationsTwoModeReduction:
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert covariance_rhs(spec, c) == pytest.approx(literal(c), abs=1e-14)
 
+    def test_three_mode_literal_equations(self):
+        # distinct kappa per mode and distinct bonds (one complex); C[0, 2]
+        # joins two non-bonded modes and must only decay at -(k0 + k2) / 2
+        kap = [0.02, 0.07, 0.3]
+        nth = [0.7, 0.1, 1.4]
+        f0, b0 = 1.3 * math.exp(0.4), 1.3 * math.exp(-0.4)
+        f1, b1 = 0.7 + 0.2j, 0.9 - 0.1j
+        spec = ChainSpec(
+            modes=tuple(ModeParams(k, m) for k, m in zip(kap, nth)),
+            bonds=(Bond(f0, b0), Bond(f1, b1)),
+        )
+
+        def literal(c):
+            out = np.zeros((3, 3), complex)
+            cur0 = 1j * (f0 * c[1, 0] - b0 * c[0, 1])
+            cur1 = 1j * (f1 * c[2, 1] - b1 * c[1, 2])
+            out[0, 0] = cur0 - kap[0] * (c[0, 0] - nth[0])
+            out[1, 1] = cur1 - cur0 - kap[1] * (c[1, 1] - nth[1])
+            out[2, 2] = -cur1 - kap[2] * (c[2, 2] - nth[2])
+            d01, d12, d02 = (0.5 * (kap[i] + kap[j]) for i, j in [(0, 1), (1, 2), (0, 2)])
+            out[0, 1] = 1j * (np.conj(b0) * c[1, 1] - f0 * c[0, 0]) - d01 * c[0, 1]
+            out[1, 0] = 1j * (np.conj(f0) * c[0, 0] - b0 * c[1, 1]) - d01 * c[1, 0]
+            out[1, 2] = 1j * (np.conj(b1) * c[2, 2] - f1 * c[1, 1]) - d12 * c[1, 2]
+            out[2, 1] = 1j * (np.conj(f1) * c[1, 1] - b1 * c[2, 2]) - d12 * c[2, 1]
+            out[0, 2] = -d02 * c[0, 2]
+            out[2, 0] = -d02 * c[2, 0]
+            return out
+
+        for i in range(3):
+            for j in range(3):
+                basis = np.zeros((3, 3), complex)
+                basis[i, j] = 1.0
+                assert covariance_rhs(spec, basis) == pytest.approx(
+                    literal(basis), abs=1e-14
+                )
+        rng = np.random.default_rng(6)
+        c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        assert covariance_rhs(spec, c) == pytest.approx(literal(c), abs=1e-14)
+
     def test_shape_validation(self):
         spec = make_uniform_chain(3, 1.0, 0.3, 0.01, 1.0)
         with pytest.raises(ValueError):
@@ -216,11 +255,20 @@ class TestSteadyFromDynamics:
         assert rate.min() < 1e-14
         assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
 
-    def test_long_small_kappa_chain(self):
-        spec = make_uniform_chain(1000, 1.0, 3.0, 1e-6, 1.0)
+    @staticmethod
+    def _check_small_kappa_chain(n):
+        spec = make_uniform_chain(n, 1.0, 3.0, 1e-6, 1.0)
         dyn = steady_from_dynamics(spec).occupations
         rate = solve_steady_chain(spec).occupations
         assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+    def test_long_small_kappa_chain(self):
+        self._check_small_kappa_chain(1000)
+
+    def test_very_long_small_kappa_chain(self):
+        # at 10^5 modes a dense N x N array would need 160 GB: the solve
+        # and its residual must stay on the band
+        self._check_small_kappa_chain(10**5)
 
 
 def _ends_or_inside(lo, hi, inside):

@@ -163,6 +163,15 @@ class TestRateMatrix:
         with pytest.raises(DivergentRate):
             build_rate_matrix(spec)
 
+    def test_negative_rate_is_rejected(self):
+        # |t_fwd|^2 + Re(t_fwd t_bwd) = 1 - 2 = -1 on the second bond
+        spec = ChainSpec(
+            modes=(ModeParams(0.1, 1.0),) * 3,
+            bonds=(Bond(1.0, 1.0), Bond(1.0, -2.0)),
+        )
+        with pytest.raises(ValueError, match="bond 1 produces a negative"):
+            build_rate_matrix(spec)
+
     def test_zero_bond_with_zero_kappa_is_fine(self):
         spec = ChainSpec(
             modes=(ModeParams(0.0, 1.0), ModeParams(0.0, 1.0)),

@@ -18,6 +18,10 @@ decay).  Its fixed point is a sparse linear system that
 :func:`steady_from_dynamics` solves directly, in O(N) time and memory, and
 so cross-checks the stationary rate-equation solver without going through
 the rate formula.
+
+scipy (``scipy.sparse`` for the operator and its LU, ``scipy.integrate`` for
+the trajectories) is imported on the first call that needs it, so importing
+this module costs no scipy start-up.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import SingularSystem, ToleranceNotMet
 from .model import ChainSpec, build_hopping_matrix
@@ -113,6 +115,8 @@ class _MomentGenerator:
     """
 
     def __init__(self, spec: ChainSpec):
+        import scipy.sparse as sp
+
         n = self.n = spec.n_modes
         hop = build_hopping_matrix(spec)
         t_fwd, t_bwd = hop.fwd, hop.bwd
@@ -224,6 +228,8 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     ToleranceNotMet
         If the residual exceeds ``tol * max(kappa) * max(n_th)``.
     """
+    from scipy.sparse.linalg import splu
+
     gen = _MomentGenerator(spec)
     if not np.all(gen.kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")

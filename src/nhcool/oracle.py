@@ -17,6 +17,8 @@ computes it on the blocks of ``rho`` that are diagonal in total boson number
 :func:`evolve_master_equation` integrates trajectories.  Everything is dense;
 the Hilbert dimension and the Liouvillian block are capped at
 ``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
+``scipy.linalg`` and ``scipy.integrate`` are imported on the first call that
+needs them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import eig
 
 from .errors import (
     DimensionTooLarge,
@@ -263,6 +264,8 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     ToleranceNotMet
         If the max-norm of ``drho/dtau`` at the result exceeds ``tol``.
     """
+    from scipy.linalg import eig
+
     kappa = spec.kappa_vector()
     if not np.all(kappa > 0):
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")

@@ -7,6 +7,9 @@ eigenvectors are rescaled copies of the Hermitian eigenvectors.  The
 rescaling grows like ``exp(A * i)`` along a uniform chain (the skin effect),
 so gauge weights are tracked in log space; chains of several hundred sites
 at asymmetry ln 2 stay finite where a direct rescaling would overflow.
+
+The tridiagonal eigensolver comes from ``scipy.linalg``, which is imported
+on the first call to :func:`diagonalize`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NotGaugeReducible, SingularBond
 from .model import HoppingMatrix
@@ -62,6 +64,8 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     NotGaugeReducible
         If some bond product is negative or has a nonzero imaginary part.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     prod = hopping.fwd * hopping.bwd
     for k, p in enumerate(prod):
         if p == 0:

@@ -359,3 +359,76 @@ class TestAttachedMode:
     def test_estimate_rejects_fully_decoupled(self):
         with pytest.raises(ValueError):
             attached_mode_estimate(AttachedModeSpec(0.0, 0.0), 0.0, 0.1, 1.0)
+
+
+# --- properties on random long chains -----------------------------------------
+#
+# Chains up to 1000 modes are too long to draw element by element, so
+# hypothesis draws the length, a seed and how often a parameter sits on an end
+# of its interval (chains made of end points are the hardest), and numpy draws
+# the parameters.
+
+def _ends_or_uniform(rng, p_end, lo, hi, size, log=False):
+    """``size`` draws from [lo, hi] (log-uniform if ``log``); about a fraction
+    ``p_end`` of them sit on ``lo`` or ``hi``."""
+    if log:
+        inside = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size)
+    else:
+        inside = rng.uniform(lo, hi, size)
+    return np.where(rng.random(size) < p_end, rng.choice([lo, hi], size), inside)
+
+
+# One bath occupation for every mode, in (0, 2].  The floor keeps every
+# occupation and every intermediate of the solve far above the subnormal
+# range, where float64 cannot hold a relative accuracy of 1e-12.
+UNIFORM_N_TH = st.sampled_from([1e-100, 2.0]) | st.floats(-100.0, math.log10(2.0)).map(
+    lambda e: min(10.0**e, 2.0)
+)
+
+
+@st.composite
+def random_long_chains(draw, hermitian=False, uniform_kappa=False, uniform_n_th=False):
+    """Chains of 1 to 1000 modes with per-bond t in [0.1, 3] and A in [-3, 3]
+    (A = 0 if ``hermitian``), kappa in [1e-6, 1] and n_th in [0, 2] per mode
+    (or one value for every mode)."""
+    n = draw(st.sampled_from([1, 2, 1000]) | st.integers(1, 1000))
+    p_end = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = _ends_or_uniform(rng, p_end, 0.1, 3.0, n - 1)
+    a = np.zeros(n - 1) if hermitian else _ends_or_uniform(rng, p_end, -3.0, 3.0, n - 1)
+    kappa = _ends_or_uniform(rng, p_end, 1e-6, 1.0, 1 if uniform_kappa else n, log=True)
+    if uniform_n_th:
+        n_th = np.full(n, draw(UNIFORM_N_TH))
+    else:
+        n_th = _ends_or_uniform(rng, p_end, 0.0, 2.0, n)
+    return ChainSpec(
+        modes=tuple(ModeParams(float(k), float(v)) for k, v in zip(np.broadcast_to(kappa, n), n_th)),
+        bonds=tuple(
+            Bond(float(ti * math.exp(ai)), float(ti * math.exp(-ai))) for ti, ai in zip(t, a)
+        ),
+    )
+
+
+class TestRandomChainProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(random_long_chains(uniform_kappa=True, uniform_n_th=True))
+    def test_sum_rule_for_uniform_bath(self, spec):
+        occ = solve_steady_chain(spec).occupations
+        want = spec.n_modes * spec.modes[0].n_th
+        assert occ.sum() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_long_chains())
+    def test_occupations_are_nonnegative(self, spec):
+        assert np.all(solve_steady_chain(spec).occupations >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_long_chains(hermitian=True, uniform_n_th=True))
+    def test_hermitian_limit_is_thermal(self, spec):
+        thermal = spec.n_th_vector()
+        occ = solve_steady_chain(spec).occupations
+        assert occ == pytest.approx(thermal, rel=1e-12, abs=0.0)
+        if spec.n_modes <= 300:
+            decomp = diagonalize(build_hopping_matrix(spec))
+            occ = spectral_occupations(decomp, thermal[0])
+            assert occ == pytest.approx(thermal, rel=1e-12, abs=0.0)

@@ -5,9 +5,9 @@ against each other: closed-form / linear-algebra rate equations
 (:mod:`nhcool.steady`), spectral occupations of the gauge-reduced hopping
 matrix (:mod:`nhcool.spectral`) and the second-moment equations
 (:mod:`nhcool.dynamics`), solved directly for the stationary state or
-integrated for trajectories.  A brute-force master equation on a truncated
-Fock space (:mod:`nhcool.oracle`) serves as ground truth for small systems,
-and :mod:`nhcool.cli` exposes everything as CSV-producing commands.
+propagated exactly for trajectories.  A brute-force master equation on a
+truncated Fock space (:mod:`nhcool.oracle`) serves as ground truth for small
+systems, and :mod:`nhcool.cli` exposes everything as CSV-producing commands.
 """
 
 from .dynamics import (

@@ -8,20 +8,21 @@ Two engines live here because no single linear equation covers both regimes:
   the trace-preserving nonlinearity of the underlying master equation, which
   the linearized moment equations cannot reproduce (they would let the
   occupation dip below zero).
-* :func:`evolve_covariance` integrates the linearized equations of motion of
+* :func:`evolve_covariance` propagates the linearized equations of motion of
   the second moments ``C[i, j] = <a_i^dag a_j>``, valid for small occupations
   in the presence of dissipation.
 
 The moment equations are written once, as a sparse operator on the band
 (occupations and nearest-neighbour coherences; the other coherences only
-decay).  Its fixed point is a sparse linear system that
+decay).  The band flow is affine, so :func:`evolve_covariance` applies its
+exact exponential; its fixed point is a sparse linear system that
 :func:`steady_from_dynamics` solves directly, in O(N) time and memory, and
 so cross-checks the stationary rate-equation solver without going through
 the rate formula.
 
-scipy (``scipy.sparse`` for the operator and its LU, ``scipy.integrate`` for
-the trajectories) is imported on the first call that needs it, so importing
-this module costs no scipy start-up.
+scipy (``scipy.sparse`` for the operator, its LU and its exponential) is
+imported on the first call that needs it, so importing this module costs no
+scipy start-up.
 """
 
 from __future__ import annotations
@@ -174,40 +175,44 @@ def evolve_covariance(
     spec: ChainSpec,
     cov0: np.ndarray,
     t_end: float,
-    tol: float = 1e-8,
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the linearized moment equations up to ``t_end``.
+    """Propagate the linearized moment equations exactly up to ``t_end``.
 
-    Uses an embedded adaptive Runge-Kutta pair with relative tolerance ``tol``
-    and absolute tolerance ``tol * max(n_th)``; reported times come from
-    ``t_eval`` (dense interpolation) or from the accepted steps.
+    The band evolves under the affine flow ``dx/dtau = system @ x + source``,
+    which the augmented matrix ``[[system, source], [0, 0]]`` acting on
+    ``[x0; 1]`` makes linear; its exponential is applied by
+    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham), stepping from
+    one reported time to the next.  The entries off the band only decay, as
+    ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
+
+    The reported times are ``t_eval`` (strictly increasing, within
+    ``[0, t_end]``) or, without it, ``[0, t_end]``.
     """
-    from scipy.integrate import solve_ivp
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
 
     gen = _MomentGenerator(spec)
     n = gen.n
     cov0 = np.asarray(cov0, dtype=complex)
     if cov0.shape != (n, n):
         raise ValueError(f"covariance must be {n} x {n}, got {cov0.shape}")
-
-    def rhs(_t, y):
-        return gen(y.reshape(n, n)).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        cov0.ravel(),
-        method="RK45",
-        rtol=tol,
-        atol=tol * _occupation_scale(gen.n_th),
-        t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
+    times = np.array([0.0, t_end]) if t_eval is None else np.asarray(t_eval, dtype=float)
+    steps = np.diff(times, prepend=0.0)
+    if times.ndim != 1 or not (
+        times.size and steps[0] >= 0 and np.all(steps[1:] > 0) and times[-1] <= t_end
+    ):
+        raise ValueError(f"reported times must be strictly increasing within [0, {t_end}]")
+    augmented = sp.bmat(
+        [[gen.system, gen.source[:, None]], [None, sp.csc_matrix((1, 1))]], format="csc"
     )
-    if not sol.success:
-        raise ToleranceNotMet(f"moment integration failed: {sol.message}")
-    covs = sol.y.T.reshape(-1, n, n)
+    x = np.append(cov0.flat[gen.band_pos], 1.0)
+    covs = cov0 * np.exp(gen.decay * times[:, None, None])
+    for k, step in enumerate(steps):
+        x = expm_multiply(step * augmented, x)
+        covs[k].flat[gen.band_pos] = x[:-1]
     occupations = np.real(np.diagonal(covs, axis1=1, axis2=2))
-    return Trajectory(times=sol.t, occupations=occupations, covariances=covs)
+    return Trajectory(times=times, occupations=occupations, covariances=covs)
 
 
 def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:

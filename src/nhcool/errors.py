@@ -26,7 +26,7 @@ class InvalidRegime(CoolingError):
 
 
 class ToleranceNotMet(CoolingError):
-    """An integration or a stationary solve could not meet the requested tolerance."""
+    """A stationary solve could not meet the requested tolerance."""
 
 
 class DimensionTooLarge(CoolingError):

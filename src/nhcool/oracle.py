@@ -14,11 +14,12 @@ linear Liouvillian ``L0``, its stable fixed point is the eigenvector of
 ``L0`` whose eigenvalue has the largest real part; :func:`oracle_steady`
 computes it on the blocks of ``rho`` that are diagonal in total boson number
 (the only blocks the thermal start state reaches), while
-:func:`evolve_master_equation` integrates trajectories.  Everything is dense;
-the Hilbert dimension and the Liouvillian block are capped at
-``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
-``scipy.linalg`` and ``scipy.integrate`` are imported on the first call that
-needs them.
+:func:`evolve_master_equation` applies the exact propagator
+``rho0 -> exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` on the blocks that the
+start state occupies.  Everything is dense; the Hilbert dimension and each
+Liouvillian block are capped at ``MAX_DIMENSION`` to keep desk-scale runs
+honest about their cost.  ``scipy.linalg`` and ``scipy.sparse.linalg`` are
+imported on the first call that needs them.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ def number_state(n_modes: int, cutoff: int, occupations: tuple[int, ...]) -> Foc
 
 
 class _MasterEquation:
-    """Cached operators and right-hand side on the truncated space."""
+    """Cached operators on the truncated space; calling it on ``rho`` gives
+    ``drho/dtau`` of the trace-corrected equation (the residual of
+    :func:`oracle_steady`)."""
 
     def __init__(self, spec: ChainSpec, cutoff: int):
         self.n_modes = spec.n_modes
@@ -190,58 +193,100 @@ def _warn_on_truncation(state: FockDensityMatrix) -> None:
         )
 
 
-def evolve_master_equation(
-    spec: ChainSpec,
-    rho0: FockDensityMatrix,
-    t_end: float,
-    tol: float = 1e-8,
-) -> FockDensityMatrix:
-    """Integrate the trace-corrected master equation up to ``t_end``."""
-    from scipy.integrate import solve_ivp
-
-    gen = _MasterEquation(spec, rho0.cutoff)
-    if rho0.n_modes != spec.n_modes:
-        raise ValueError("initial state and chain have different mode counts")
-    dim = gen.dim
-
-    def rhs(_t, y):
-        return gen(y.reshape(dim, dim)).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        rho0.rho.ravel(),
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise ToleranceNotMet(f"master-equation integration failed: {sol.message}")
-    state = FockDensityMatrix(
-        rho=sol.y[:, -1].reshape(dim, dim), cutoff=rho0.cutoff, n_modes=rho0.n_modes
-    )
-    _warn_on_truncation(state)
-    return state
+def _number_totals(n_modes: int, cutoff: int) -> np.ndarray:
+    """Total boson number of each Fock basis state."""
+    return np.indices((cutoff,) * n_modes).reshape(n_modes, -1).sum(axis=0)
 
 
-def _sector_pairs(n_modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(a, b)`` of Fock states with equal total boson number.
+def _sector_pairs(
+    n_modes: int, cutoff: int, difference: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(a, b)`` of Fock states whose total boson numbers differ
+    by ``difference`` (``M_a - M_b``); ``L0`` maps each such sector of
+    ``rho`` into itself.
 
     Raises :class:`DimensionTooLarge` when there are more than
     ``MAX_DIMENSION`` pairs, before any Liouvillian is allocated.
     """
     _check_dimension(n_modes, cutoff)
-    total = np.indices((cutoff,) * n_modes).reshape(n_modes, -1).sum(axis=0)
-    sectors = [np.flatnonzero(total == count) for count in range(total.max() + 1)]
-    size = sum(len(states) ** 2 for states in sectors)
+    total = _number_totals(n_modes, cutoff)
+    sectors = [
+        (np.flatnonzero(total == count), np.flatnonzero(total == count - difference))
+        for count in range(total.max() + 1)
+    ]
+    size = sum(len(lefts) * len(rights) for lefts, rights in sectors)
     if size > MAX_DIMENSION:
         raise DimensionTooLarge(
-            f"number-diagonal Liouvillian block has {size} rows, exceeding the "
-            f"dense guard rail {MAX_DIMENSION}"
+            f"Liouvillian block of number difference {difference} has {size} rows, "
+            f"exceeding the dense guard rail {MAX_DIMENSION}"
         )
-    left = np.concatenate([np.repeat(states, len(states)) for states in sectors])
-    right = np.concatenate([np.tile(states, len(states)) for states in sectors])
+    left = np.concatenate([np.repeat(lefts, len(rights)) for lefts, rights in sectors])
+    right = np.concatenate([np.tile(rights, len(lefts)) for lefts, rights in sectors])
     return left, right
+
+
+def _liouvillian_block(gen: _MasterEquation, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dense block of the linear Liouvillian ``L0`` on the index pairs
+    ``(left[k], right[k])`` of ``rho``.
+
+    With ``rho`` flattened row-major, ``A rho B`` acts as ``kron(A, B.T)``;
+    the block keeps the rows and columns of that Kronecker product on the
+    given pairs, which is exact when ``L0`` maps those pairs into themselves.
+    """
+
+    def block(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+        return a[np.ix_(left, left)] * b_t[np.ix_(right, right)]
+
+    eye = np.eye(gen.dim)
+    liouvillian = -1j * (block(gen.ham, eye) - block(eye, gen.ham_dag.T))
+    for op, _op_dag, op_norm in gen.jumps:
+        liouvillian += block(op, op.conj())
+        liouvillian -= 0.5 * (block(op_norm, eye) + block(eye, op_norm.T))
+    return liouvillian
+
+
+def evolve_master_equation(
+    spec: ChainSpec,
+    rho0: FockDensityMatrix,
+    t_end: float,
+) -> FockDensityMatrix:
+    """The state of the trace-corrected master equation at ``t_end``.
+
+    ``rho(tau) = exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` solves
+    ``rho' = L0 rho - Tr(L0 rho) rho`` exactly.  ``L0`` conserves the
+    difference of the total boson numbers of a matrix element's two Fock
+    states, so each such sector that ``rho0`` occupies (a number-diagonal
+    start state occupies only sector 0) is propagated on its own by
+    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham).
+
+    Raises
+    ------
+    ValueError
+        If ``t_end`` is negative or ``rho0`` has another mode count.
+    DimensionTooLarge
+        If an occupied sector has more than ``MAX_DIMENSION`` rows.
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    if rho0.n_modes != spec.n_modes:
+        raise ValueError("initial state and chain have different mode counts")
+    if not t_end >= 0:
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    total = _number_totals(rho0.n_modes, rho0.cutoff)
+    occupied = np.unique((total[:, None] - total[None, :])[rho0.rho != 0])
+    # every sector's size guard runs before any operator is allocated
+    pairs = [_sector_pairs(rho0.n_modes, rho0.cutoff, int(d)) for d in occupied]
+    gen = _MasterEquation(spec, rho0.cutoff)
+    rho = np.zeros_like(rho0.rho, dtype=complex)
+    for left, right in pairs:
+        rho[left, right] = expm_multiply(
+            t_end * _liouvillian_block(gen, left, right), rho0.rho[left, right]
+        )
+    state = FockDensityMatrix(
+        rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
+    )
+    _warn_on_truncation(state)
+    return state
 
 
 def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray:
@@ -249,10 +294,8 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
 
     The fixed point reached from the product thermal state is the leading
     eigenvector of the linear Liouvillian ``L0`` restricted to the blocks of
-    ``rho`` diagonal in total boson number, normalized to unit trace.  With
-    ``rho`` flattened row-major, ``A rho B`` acts as ``kron(A, B.T)``; the
-    block keeps the rows and columns of that Kronecker product whose index
-    pairs have equal total number, and a dense eigensolve does the rest.
+    ``rho`` diagonal in total boson number, normalized to unit trace; a
+    dense eigensolve of that block does the rest.
 
     Raises
     ------
@@ -271,17 +314,7 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")
     left, right = _sector_pairs(spec.n_modes, cutoff)
     gen = _MasterEquation(spec, cutoff)
-
-    def block(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-        # rows and columns of kron(a, b_t) on the retained index pairs
-        return a[np.ix_(left, left)] * b_t[np.ix_(right, right)]
-
-    eye = np.eye(gen.dim)
-    liouvillian = -1j * (block(gen.ham, eye) - block(eye, gen.ham_dag.T))
-    for op, _op_dag, op_norm in gen.jumps:
-        liouvillian += block(op, op.conj())
-        liouvillian -= 0.5 * (block(op_norm, eye) + block(eye, op_norm.T))
-    evals, evecs = eig(liouvillian)
+    evals, evecs = eig(_liouvillian_block(gen, left, right))
     order = np.argsort(evals.real)[::-1]
     lead = evals[order[0]]
     gap = lead.real - evals[order[1]].real  # cutoff >= 2: at least two rows

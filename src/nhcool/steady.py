@@ -121,7 +121,12 @@ def _residual(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
 def _solve_bands(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
                  n_th: np.ndarray) -> SteadyState:
     injection = kappa * n_th
-    occ = _gth_solve(up, down, kappa, injection)
+    # Solve for an injection of order one and scale back: a tiny bath would
+    # otherwise push the elimination into subnormal floats, which lose
+    # relative accuracy.  Powers of two scale every operation exactly, so in
+    # the normal range the result is bitwise that of the unscaled solve.
+    _, exponent = math.frexp(float(injection.max()))
+    occ = np.ldexp(_gth_solve(up, down, kappa, np.ldexp(injection, -exponent)), exponent)
     return SteadyState(occupations=occ, residual=_residual(up, down, kappa, injection, occ))
 
 

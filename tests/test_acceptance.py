@@ -217,7 +217,7 @@ def test_criterion_09_oracle_agreement():
     spec = nh.make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", nh.TruncationWarning)
-        state = nh.evolve_master_equation(spec, nh.thermal_state(spec, 5), 200.0, tol=1e-9)
+        state = nh.evolve_master_equation(spec, nh.thermal_state(spec, 5), 200.0)
     runtime = time.perf_counter() - start
     trace_err = state.trace_error()
     herm_err = state.hermiticity_error()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,22 +167,20 @@ class TestEvolveCovariance:
     def test_thermal_state_is_stationary_when_hermitian(self):
         spec = make_uniform_chain(3, 1.0, 0.0, 0.02, 0.8)
         cov0 = np.diag([0.8, 0.8, 0.8]).astype(complex)
-        traj = evolve_covariance(spec, cov0, 50.0, tol=1e-10, t_eval=[25.0, 50.0])
+        traj = evolve_covariance(spec, cov0, 50.0, t_eval=[25.0, 50.0])
         assert np.abs(traj.occupations - 0.8).max() <= 1e-9
 
     def test_conserves_total_occupation_without_dissipation(self):
         spec = make_uniform_chain(3, 1.0, LN2, 0.0, 0.0)
         cov0 = np.diag([1.0, 0.3, 0.1]).astype(complex)
-        traj = evolve_covariance(spec, cov0, 20.0, tol=1e-10,
-                                 t_eval=np.linspace(0.0, 20.0, 21))
+        traj = evolve_covariance(spec, cov0, 20.0, t_eval=np.linspace(0.0, 20.0, 21))
         totals = traj.occupations.sum(axis=1)
         assert np.abs(totals - totals[0]).max() <= 1e-8
 
     def test_hermiticity_preserved(self):
         spec = make_uniform_chain(4, 1.0, LN2, 0.01, 1.0)
         cov0 = np.diag([1.0, 1.0, 1.0, 1.0]).astype(complex)
-        traj = evolve_covariance(spec, cov0, 30.0, tol=1e-10,
-                                 t_eval=np.linspace(0.0, 30.0, 16))
+        traj = evolve_covariance(spec, cov0, 30.0, t_eval=np.linspace(0.0, 30.0, 16))
         worst = max(np.abs(c - c.conj().T).max() for c in traj.covariances)
         assert worst <= 1e-10
 
@@ -190,7 +189,7 @@ class TestEvolveCovariance:
         # is the two-mode closed form; kappa * tau = 40 leaves e^-40 transient
         spec = make_uniform_chain(2, 1.0, LN2, 0.5, 1.0)
         cov0 = np.diag(spec.n_th_vector()).astype(complex)
-        traj = evolve_covariance(spec, cov0, 80.0, tol=1e-10, t_eval=[80.0])
+        traj = evolve_covariance(spec, cov0, 80.0, t_eval=[80.0])
         ss = steady_from_dynamics(spec)
         assert traj.occupations[-1] == pytest.approx(ss.occupations, rel=1e-8)
         n1, n2 = closed_form_two_mode(1.0, LN2, 0.5, 0.5, 1.0)
@@ -202,6 +201,50 @@ class TestEvolveCovariance:
         traj = evolve_covariance(spec, np.eye(2, dtype=complex), 2.0, t_eval=grid)
         assert traj.times == pytest.approx(grid)
         assert traj.covariances.shape == (4, 2, 2)
+
+    def test_default_grid_is_start_and_end(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
+        traj = evolve_covariance(spec, np.eye(2, dtype=complex), 3.0)
+        assert traj.times.tolist() == [0.0, 3.0]
+        assert traj.covariances[0] == pytest.approx(np.eye(2), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "t_eval", [[-0.5, 1.0], [0.5, 2.5], [0.5, 0.5, 1.0], [1.5, 0.5], [], [0.5, np.nan]]
+    )
+    def test_rejects_times_outside_range_or_not_increasing(self, t_eval):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
+        with pytest.raises(ValueError):
+            evolve_covariance(spec, np.eye(2, dtype=complex), 2.0, t_eval=t_eval)
+
+    def test_matches_extended_precision_expm(self):
+        # distinct kappa and n_th per mode, one complex bond; the reference is
+        # a 30-digit exponential of the affine generator probed from
+        # covariance_rhs on all nine entries, so the off-band C[0, 2] and
+        # C[2, 0] are checked along with the band
+        kap, nth = [0.05, 0.12, 0.3], [0.9, 0.2, 1.5]
+        spec = ChainSpec(
+            modes=tuple(ModeParams(k, m) for k, m in zip(kap, nth)),
+            bonds=(Bond(1.1 * math.exp(0.5), 1.1 * math.exp(-0.5)), Bond(0.6 + 0.3j, 0.8 - 0.2j)),
+        )
+        rng = np.random.default_rng(7)
+        half = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        cov0 = half @ half.conj().T
+        offset = covariance_rhs(spec, np.zeros((3, 3))).ravel()
+        gen = np.zeros((10, 10), dtype=complex)
+        for k in range(9):
+            gen[:9, k] = covariance_rhs(spec, np.eye(9)[k].reshape(3, 3)).ravel() - offset
+        gen[:9, 9] = offset
+        start = mpmath.matrix(np.append(cov0.ravel(), 1.0).tolist())
+        taus = [0.5, 20.0, 200.0]
+        traj = evolve_covariance(spec, cov0, 200.0, t_eval=taus)
+        for tau, got in zip(taus, traj.covariances):
+            with mpmath.workdps(30):
+                vec = mpmath.expm(tau * mpmath.matrix(gen.tolist())) * start
+                want = np.array([complex(v) for v in vec[:9]]).reshape(3, 3)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            decay = np.exp(-0.5 * (kap[0] + kap[2]) * tau)
+            assert got[0, 2] == pytest.approx(cov0[0, 2] * decay, rel=1e-14)
+            assert got[2, 0] == pytest.approx(cov0[2, 0] * decay, rel=1e-14)
 
 
 class TestSteadyFromDynamics:

@@ -55,15 +55,20 @@ print(json.dumps(report))
 _DEFERRED_SCRIPT = _PRELUDE + """
 import numpy as np
 from nhcool import (
-    build_hopping_matrix, covariance_rhs, diagonalize, make_uniform_chain,
-    oracle_steady, steady_from_dynamics,
+    build_hopping_matrix, covariance_rhs, diagonalize, evolve_covariance,
+    evolve_master_equation, make_uniform_chain, oracle_steady, steady_from_dynamics,
+    thermal_state,
 )
 spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
+pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
 report = {
     "diagonalize": diagonalize(build_hopping_matrix(spec)).eigenvalues.tolist(),
     "steady_from_dynamics": steady_from_dynamics(spec).occupations.tolist(),
     "covariance_rhs": covariance_rhs(spec, np.eye(3)).real.diagonal().tolist(),
-    "oracle_steady": oracle_steady(make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01), 3).tolist(),
+    "oracle_steady": oracle_steady(pair, 3).tolist(),
+    "evolve_covariance": evolve_covariance(spec, np.eye(3), 1.0).occupations[-1].tolist(),
+    "evolve_master_equation": evolve_master_equation(
+        pair, thermal_state(pair, 3), 1.0).occupations().tolist(),
     "commands": [[argv, run(argv, sys.argv[2])] for argv in json.loads(sys.argv[1])],
     "scipy": scipy_modules(),
 }
@@ -98,7 +103,11 @@ def test_deferred_scipy_imports_resolve(tmp_path):
     assert len(report["steady_from_dynamics"]) == 3
     assert len(report["covariance_rhs"]) == 3
     assert len(report["oracle_steady"]) == 2
+    assert len(report["evolve_covariance"]) == 3
+    assert len(report["evolve_master_equation"]) == 2
     for argv, code in report["commands"]:
         assert code == 0, argv
     assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(report["scipy"])
+    # both trajectories are exact propagations; no integrator is loaded
+    assert not [m for m in report["scipy"] if m.startswith("scipy.integrate")]
     assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_USING)

@@ -2,13 +2,16 @@ import math
 import warnings
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nhcool import (
     Bond,
     ChainSpec,
     DimensionTooLarge,
+    FockDensityMatrix,
     ModeParams,
     SingularSystem,
     ToleranceNotMet,
@@ -30,8 +33,8 @@ def rabi_closed_form(tau):
     return c2 / (c2 + 4.0 * s2)
 
 
-def full_liouvillian_occupations(spec, cutoff):
-    """Leading eigenvector of the Liouvillian on the whole ``dim**2`` space."""
+def full_liouvillian(spec, cutoff):
+    """The linear Liouvillian ``L0`` on the whole ``dim**2`` space, row-major."""
     n = spec.n_modes
     dim = cutoff**n
     single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
@@ -49,7 +52,14 @@ def full_liouvillian_occupations(spec, cutoff):
                    math.sqrt(mode.kappa * mode.n_th) * a.T):
             norm = op.T @ op
             liou += np.kron(op, op) - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm))
-    evals, evecs = np.linalg.eig(liou)
+    return liou
+
+
+def full_liouvillian_occupations(spec, cutoff):
+    """Leading eigenvector of the Liouvillian on the whole ``dim**2`` space."""
+    n = spec.n_modes
+    dim = cutoff**n
+    evals, evecs = np.linalg.eig(full_liouvillian(spec, cutoff))
     rho = evecs[:, np.argmax(evals.real)].reshape(dim, dim)
     pops = np.real(np.diag(rho / np.trace(rho))).reshape((cutoff,) * n)
     levels = np.arange(cutoff)
@@ -107,7 +117,7 @@ class TestEvolveMasterEquation:
         spec = make_uniform_chain(2, 1.0, LN2, 0.0, 0.0)
         rho0 = number_state(2, 3, (1, 0))
         for tau in (0.3, 0.7, 1.2):
-            state = evolve_master_equation(spec, rho0, tau, tol=1e-10)
+            state = evolve_master_equation(spec, rho0, tau)
             assert state.occupations()[0] == pytest.approx(
                 rabi_closed_form(tau), abs=1e-6
             )
@@ -118,7 +128,7 @@ class TestEvolveMasterEquation:
         spec = make_uniform_chain(2, 1.0, LN2, 0.0, 0.0)
         rho0 = number_state(2, 3, (1, 0))
         for tau in (0.5, 1.5):
-            state = evolve_master_equation(spec, rho0, tau, tol=1e-11)
+            state = evolve_master_equation(spec, rho0, tau)
             pops = np.real(np.diag(state.rho)).reshape(3, 3)
             outside = pops.sum() - pops[0, 0] - pops[0, 1] - pops[1, 0]
             assert abs(outside) <= 1e-12
@@ -130,7 +140,7 @@ class TestEvolveMasterEquation:
         spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
         rho0 = thermal_state(spec, 5)
         for tau in (1.0, 10.0, 60.0):
-            state = evolve_master_equation(spec, rho0, tau, tol=1e-9)
+            state = evolve_master_equation(spec, rho0, tau)
             assert state.min_eigenvalue() >= -1e-6
             assert state.trace_error() <= 1e-8
             assert state.hermiticity_error() <= 1e-8
@@ -139,25 +149,67 @@ class TestEvolveMasterEquation:
         spec = ChainSpec(modes=(ModeParams(0.3, 0.2),), bonds=())
         rho0 = number_state(1, 10, (2,))
         for tau in (0.5, 2.0, 5.0):
-            state = evolve_master_equation(spec, rho0, tau, tol=1e-10)
+            state = evolve_master_equation(spec, rho0, tau)
             expected = 0.2 + (2.0 - 0.2) * math.exp(-0.3 * tau)
             assert state.occupations()[0] == pytest.approx(expected, abs=1e-5)
 
     def test_hermitian_vacuum_exactly_stationary(self):
         spec = make_uniform_chain(2, 1.0, 0.0, 0.05, 0.0)
-        state = evolve_master_equation(spec, thermal_state(spec, 4), 20.0, tol=1e-10)
+        state = evolve_master_equation(spec, thermal_state(spec, 4), 20.0)
         assert np.abs(state.occupations()).max() <= 1e-9
 
     def test_hermitian_thermal_stationary_up_to_truncation(self):
         # the truncated ladder shifts the fixed point by ~ r**cutoff
         spec = make_uniform_chain(2, 1.0, 0.0, 0.05, 0.1)
-        state = evolve_master_equation(spec, thermal_state(spec, 5), 40.0, tol=1e-10)
+        state = evolve_master_equation(spec, thermal_state(spec, 5), 40.0)
         assert np.abs(state.occupations() - 0.1).max() <= 1e-4
 
     def test_truncation_warning_fires(self):
         spec = ChainSpec(modes=(ModeParams(0.3, 0.5),), bonds=())
         with pytest.warns(TruncationWarning):
-            evolve_master_equation(spec, thermal_state(spec, 3), 10.0, tol=1e-8)
+            evolve_master_equation(spec, thermal_state(spec, 3), 10.0)
+
+    # cutoff 3 truncates these chains; the propagator is checked on the
+    # truncated space, so the warning is expected here
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_matches_extended_precision_expm_on_number_diagonal_block(self):
+        spec = ChainSpec(
+            modes=(ModeParams(0.1, 0.2), ModeParams(0.3, 0.05)),
+            bonds=(Bond(1.2 * math.exp(LN2), 1.2 * math.exp(-LN2)),),
+        )
+        rho0 = thermal_state(spec, 3)
+        total = np.indices((3, 3)).reshape(2, -1).sum(axis=0)
+        keep = np.flatnonzero((total[:, None] == total[None, :]).ravel())
+        block = mpmath.matrix(full_liouvillian(spec, 3)[np.ix_(keep, keep)].tolist())
+        start = mpmath.matrix(rho0.rho.ravel()[keep].tolist())
+        for tau in (0.5, 20.0, 200.0):
+            with mpmath.workdps(30):
+                vec = mpmath.expm(tau * block) * start
+                want = np.zeros(81, dtype=complex)
+                want[keep] = [complex(v) for v in vec]
+            want = want.reshape(9, 9) / np.trace(want.reshape(9, 9))
+            state = evolve_master_equation(spec, rho0, tau)
+            assert np.abs(state.rho - want).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_coherent_start_matches_full_space_expm(self):
+        # |0,0> + |1,0> couples total numbers 0 and 1: the sectors with number
+        # difference +1 and -1 evolve next to the number-diagonal one
+        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
+        psi = np.zeros(9)
+        psi[[0, 3]] = math.sqrt(0.5)
+        rho0 = FockDensityMatrix(np.outer(psi, psi).astype(complex), cutoff=3, n_modes=2)
+        for tau in (0.5, 20.0):
+            vec = expm(tau * full_liouvillian(spec, 3)) @ rho0.rho.ravel()
+            want = vec.reshape(9, 9) / vec.reshape(9, 9).trace()
+            state = evolve_master_equation(spec, rho0, tau)
+            assert np.abs(state.rho - want).max() <= 1e-12
+            assert abs(state.rho[0, 3]) > 1e-3
+
+    def test_rejects_negative_time(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
+        with pytest.raises(ValueError):
+            evolve_master_equation(spec, thermal_state(spec, 3), -1.0)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
@@ -221,7 +273,7 @@ class TestOracleSteady:
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
     def test_integrated_flow_converges_to_stationary_solve(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.1)
-        state = evolve_master_equation(spec, thermal_state(spec, 5), 200.0, tol=1e-9)
+        state = evolve_master_equation(spec, thermal_state(spec, 5), 200.0)
         assert state.occupations() == pytest.approx(oracle_steady(spec, 5), abs=1e-6)
 
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")

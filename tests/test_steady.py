@@ -158,6 +158,20 @@ class TestSolveSteadyChain:
         assert np.all(ss.occupations >= 0.0)
         assert np.isfinite(ss.residual)
 
+    def test_tiny_bath_keeps_relative_accuracy(self):
+        # A = 3 over 50 modes spreads the occupations over ~250 decades, so at
+        # n_th = 1e-300 most of them are subnormal; the normal ones must equal
+        # the n_th = 1 profile scaled down
+        occ = solve_steady_chain(make_uniform_chain(50, 1.0, 3.0, 1e-6, 1e-300)).occupations
+        ref = solve_steady_chain(make_uniform_chain(50, 1.0, 3.0, 1e-6, 1.0)).occupations * 1e-300
+        normal = ref >= np.finfo(float).tiny
+        assert 0 < normal.sum() < 50
+        assert occ[normal] == pytest.approx(ref[normal], rel=1e-14, abs=0.0)
+
+    def test_subnormal_bath_keeps_sum_rule(self):
+        occ = solve_steady_chain(make_uniform_chain(50, 1.0, 3.0, 1e-6, 1e-310)).occupations
+        assert occ.sum() == pytest.approx(50 * 1e-310, rel=1e-6, abs=0.0)
+
     def test_all_kappa_zero_uncoupled_raises(self):
         spec = ChainSpec(
             modes=(ModeParams(0.0, 1.0),) * 2, bonds=(Bond(0.0, 0.0),)

@@ -77,6 +77,8 @@ class _Resolver:
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
                 self.config = json.load(fh)
+            if not isinstance(self.config, dict):
+                raise ValueError("config file must hold a JSON object")
         allowed = set(DEFAULTS) | {"bonds"} | (set(vars(args)) - {"command", "func"})
         unknown = sorted(set(self.config) - allowed)
         if unknown:
@@ -124,10 +126,12 @@ def cmd_rabi(args) -> int:
     grid = res.get("grid", 400, cast=int)
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    start = res.get("start_site", 1, cast=int) - 1  # sites are 1-based here
+    site = res.get("start_site", 1, cast=int)  # sites are 1-based here
+    if not 1 <= site <= spec.n_modes:
+        raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {site}")
     t_ref = spec.reference_coupling
     tau = np.linspace(0.0, periods * math.pi / t_ref, grid)
-    traj = dynamics.single_excitation_trace(spec, start, tau)
+    traj = dynamics.single_excitation_trace(spec, site - 1, tau)
     header = ["tau"] + [f"n_{i + 1}" for i in range(spec.n_modes)]
     rows = [(tau[k], *traj.occupations[k]) for k in range(len(tau))]
     _write_csv(args.output, header, rows)

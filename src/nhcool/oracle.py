@@ -9,17 +9,19 @@ non-Hermitian Hamiltonian,
 with the standard thermal dissipators ``o_down = sqrt(kappa (1 + n_th)) a``
 and ``o_up = sqrt(kappa n_th) a^dag`` per mode.  The trace-correction term
 makes ``d Tr rho / dtau`` vanish identically, which doubles as the main
-correctness check.  Written as ``rho' = L0 rho - Tr(L0 rho) rho`` with the
-linear Liouvillian ``L0``, its stable fixed point is the eigenvector of
-``L0`` whose eigenvalue has the largest real part; :func:`oracle_steady`
-computes it on the blocks of ``rho`` that are diagonal in total boson number
-(the only blocks the thermal start state reaches), while
-:func:`evolve_master_equation` applies the exact propagator
+correctness check.  It reads ``rho' = L0 rho - Tr(L0 rho) rho`` with the
+linear Liouvillian ``L0 rho = K rho + rho K^dag + sum_i o_i rho o_i^dag``,
+``K = -i H - 1/2 sum_i o_i^dag o_i``, which one helper assembles; its stable
+fixed point is the eigenvector of ``L0`` whose eigenvalue has the largest
+real part.  :func:`oracle_steady` computes it on the blocks of ``rho`` that
+are diagonal in total boson number (the only blocks the thermal start state
+reaches), while :func:`evolve_master_equation` applies the exact propagator
 ``rho0 -> exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` on the blocks that the
-start state occupies.  Everything is dense; the Hilbert dimension and each
-Liouvillian block are capped at ``MAX_DIMENSION`` to keep desk-scale runs
-honest about their cost.  ``scipy.linalg`` and ``scipy.sparse.linalg`` are
-imported on the first call that needs them.
+start state occupies.  The operators and the ``L0`` blocks are dense numpy
+arrays; the Hilbert dimension and each Liouvillian block are capped at
+``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
+``scipy.linalg`` and ``scipy.sparse.linalg`` are imported on the first call
+that needs them.
 """
 
 from __future__ import annotations
@@ -68,27 +70,19 @@ class FockDensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
 
-    def _diag_populations(self) -> np.ndarray:
-        diag = np.real(np.diag(self.rho))
-        return diag.reshape((self.cutoff,) * self.n_modes)
+    def _marginals(self) -> np.ndarray:
+        """Population of each retained Fock level, per mode: ``(n_modes, cutoff)``."""
+        pops = np.real(np.diag(self.rho)).reshape((self.cutoff,) * self.n_modes)
+        modes = range(self.n_modes)
+        return np.array([pops.sum(axis=tuple(ax for ax in modes if ax != i)) for i in modes])
 
     def occupations(self) -> np.ndarray:
         """Mean boson number of each mode."""
-        pops = self._diag_populations()
-        levels = np.arange(self.cutoff, dtype=float)
-        out = np.empty(self.n_modes)
-        for i in range(self.n_modes):
-            axes = tuple(ax for ax in range(self.n_modes) if ax != i)
-            out[i] = pops.sum(axis=axes) @ levels
-        return out
+        return self._marginals() @ np.arange(self.cutoff, dtype=float)
 
     def top_level_populations(self) -> np.ndarray:
         """Population of the highest retained Fock level, per mode."""
-        pops = self._diag_populations()
-        out = np.empty(self.n_modes)
-        for i in range(self.n_modes):
-            out[i] = pops.take(indices=self.cutoff - 1, axis=i).sum()
-        return out
+        return self._marginals()[:, -1]
 
 
 def _check_dimension(n_modes: int, cutoff: int) -> int:
@@ -100,17 +94,6 @@ def _check_dimension(n_modes: int, cutoff: int) -> int:
             f"cutoff**n_modes = {dim} exceeds the dense guard rail {MAX_DIMENSION}"
         )
     return dim
-
-
-def _lowering_operators(n_modes: int, cutoff: int) -> list[np.ndarray]:
-    _check_dimension(n_modes, cutoff)
-    single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    eye = np.eye(cutoff)
-    ops = []
-    for i in range(n_modes):
-        factors = [single if j == i else eye for j in range(n_modes)]
-        ops.append(reduce(np.kron, factors).astype(complex))
-    return ops
 
 
 def thermal_state(spec: ChainSpec, cutoff: int) -> FockDensityMatrix:
@@ -140,44 +123,6 @@ def number_state(n_modes: int, cutoff: int, occupations: tuple[int, ...]) -> Foc
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
     return FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=n_modes)
-
-
-class _MasterEquation:
-    """Cached operators on the truncated space; calling it on ``rho`` gives
-    ``drho/dtau`` of the trace-corrected equation (the residual of
-    :func:`oracle_steady`)."""
-
-    def __init__(self, spec: ChainSpec, cutoff: int):
-        self.n_modes = spec.n_modes
-        self.cutoff = cutoff
-        self.dim = _check_dimension(spec.n_modes, cutoff)
-        lowering = _lowering_operators(spec.n_modes, cutoff)
-        hop = build_hopping_matrix(spec)
-        ham = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(spec.n_modes - 1):
-            # bond k: t_bwd multiplies a_k^dag a_{k+1}, t_fwd multiplies a_{k+1}^dag a_k
-            ham += hop.bwd[k] * (lowering[k].conj().T @ lowering[k + 1])
-            ham += hop.fwd[k] * (lowering[k + 1].conj().T @ lowering[k])
-        self.ham = ham
-        self.ham_dag = ham.conj().T
-        self.ham_skew = ham - self.ham_dag
-        self.jumps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for i, mode in enumerate(spec.modes):
-            if mode.kappa == 0:
-                continue
-            ops = [np.sqrt(mode.kappa * (1.0 + mode.n_th)) * lowering[i]]
-            if mode.n_th > 0:
-                ops.append(np.sqrt(mode.kappa * mode.n_th) * lowering[i].conj().T)
-            for op in ops:
-                op_dag = op.conj().T
-                self.jumps.append((op, op_dag, op_dag @ op))
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.ham @ rho - rho @ self.ham_dag)
-        out += 1j * np.einsum("ij,ji->", rho, self.ham_skew) * rho
-        for op, op_dag, op_norm in self.jumps:
-            out += op @ rho @ op_dag - 0.5 * (op_norm @ rho + rho @ op_norm)
-        return out
 
 
 def _warn_on_truncation(state: FockDensityMatrix) -> None:
@@ -225,23 +170,47 @@ def _sector_pairs(
     return left, right
 
 
-def _liouvillian_block(gen: _MasterEquation, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _liouvillian(
+    spec: ChainSpec, cutoff: int, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
     """Dense block of the linear Liouvillian ``L0`` on the index pairs
     ``(left[k], right[k])`` of ``rho``.
 
-    With ``rho`` flattened row-major, ``A rho B`` acts as ``kron(A, B.T)``;
-    the block keeps the rows and columns of that Kronecker product on the
-    given pairs, which is exact when ``L0`` maps those pairs into themselves.
+    With ``rho`` flattened row-major, ``A rho B`` acts as ``kron(A, B.T)``, so
+    (the ladder operators being real) ``L0`` is
+    ``kron(K, 1) + kron(1, conj(K)) + sum_i kron(o_i, o_i)``; the block keeps
+    its rows and columns on the given pairs, which is exact when ``L0`` maps
+    those pairs into themselves.  A mode without a bath, or at zero
+    temperature, contributes zero jump operators.
     """
+    n_modes = spec.n_modes
+    single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    eye = np.eye(cutoff)
+    lowering = [
+        reduce(np.kron, [single if j == i else eye for j in range(n_modes)])
+        for i in range(n_modes)
+    ]
+    hop = build_hopping_matrix(spec)
+    k_op = np.zeros((cutoff**n_modes,) * 2, dtype=complex)
+    for k in range(n_modes - 1):
+        # bond k: t_bwd multiplies a_k^dag a_{k+1}, t_fwd multiplies a_{k+1}^dag a_k
+        k_op -= 1j * hop.bwd[k] * (lowering[k].T @ lowering[k + 1])
+        k_op -= 1j * hop.fwd[k] * (lowering[k + 1].T @ lowering[k])
+    jumps = []
+    for a, mode in zip(lowering, spec.modes):
+        jumps.append(np.sqrt(mode.kappa * (1.0 + mode.n_th)) * a)
+        jumps.append(np.sqrt(mode.kappa * mode.n_th) * a.T)
+    # a ladder operator has one entry per column, so each J^T J is diagonal
+    k_op[np.diag_indices_from(k_op)] -= 0.5 * sum((j * j).sum(axis=0) for j in jumps)
 
-    def block(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-        return a[np.ix_(left, left)] * b_t[np.ix_(right, right)]
+    def block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[np.ix_(left, left)] * b[np.ix_(right, right)]
 
-    eye = np.eye(gen.dim)
-    liouvillian = -1j * (block(gen.ham, eye) - block(eye, gen.ham_dag.T))
-    for op, _op_dag, op_norm in gen.jumps:
-        liouvillian += block(op, op.conj())
-        liouvillian -= 0.5 * (block(op_norm, eye) + block(eye, op_norm.T))
+    ident = np.eye(len(k_op))
+    liouvillian = block(k_op, ident)
+    liouvillian += block(ident, k_op.conj())
+    for jump in jumps:
+        liouvillian += block(jump, jump)
     return liouvillian
 
 
@@ -276,11 +245,10 @@ def evolve_master_equation(
     occupied = np.unique((total[:, None] - total[None, :])[rho0.rho != 0])
     # every sector's size guard runs before any operator is allocated
     pairs = [_sector_pairs(rho0.n_modes, rho0.cutoff, int(d)) for d in occupied]
-    gen = _MasterEquation(spec, rho0.cutoff)
     rho = np.zeros_like(rho0.rho, dtype=complex)
     for left, right in pairs:
         rho[left, right] = expm_multiply(
-            t_end * _liouvillian_block(gen, left, right), rho0.rho[left, right]
+            t_end * _liouvillian(spec, rho0.cutoff, left, right), rho0.rho[left, right]
         )
     state = FockDensityMatrix(
         rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
@@ -295,7 +263,9 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     The fixed point reached from the product thermal state is the leading
     eigenvector of the linear Liouvillian ``L0`` restricted to the blocks of
     ``rho`` diagonal in total boson number, normalized to unit trace; a
-    dense eigensolve of that block does the rest.
+    dense eigensolve of that block does the rest.  ``L0`` maps the block into
+    itself, so the residual ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is
+    evaluated on the same block.
 
     Raises
     ------
@@ -313,8 +283,8 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     if not np.all(kappa > 0):
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")
     left, right = _sector_pairs(spec.n_modes, cutoff)
-    gen = _MasterEquation(spec, cutoff)
-    evals, evecs = eig(_liouvillian_block(gen, left, right))
+    liouvillian = _liouvillian(spec, cutoff, left, right)
+    evals, evecs = eig(liouvillian)
     order = np.argsort(evals.real)[::-1]
     lead = evals[order[0]]
     gap = lead.real - evals[order[1]].real  # cutoff >= 2: at least two rows
@@ -324,14 +294,17 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
             f"leading Liouvillian eigenvalue {lead:.3e} is not real and simple "
             f"(gap {gap:.3e})"
         )
-    rho = np.zeros((gen.dim, gen.dim), dtype=complex)
-    rho[left, right] = evecs[:, order[0]]
-    rho /= np.trace(rho)
-    residual = float(np.abs(gen(rho)).max())
+    diagonal = left == right
+    vec = evecs[:, order[0]]
+    vec /= vec[diagonal].sum()
+    flow = liouvillian @ vec
+    residual = float(np.abs(flow - flow[diagonal].sum() * vec).max())
     if residual > tol:
         raise ToleranceNotMet(
             f"stationary master-equation residual {residual:.3e} exceeds {tol:.3e}"
         )
+    rho = np.zeros((cutoff**spec.n_modes,) * 2, dtype=complex)
+    rho[left, right] = vec
     state = FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=spec.n_modes)
     _warn_on_truncation(state)
     return state.occupations()

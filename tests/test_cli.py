@@ -229,6 +229,21 @@ class TestExitCodesAndDeterminism:
         assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("site", ["0", "5"])
+    def test_start_site_outside_chain_is_usage_error(self, tmp_path, site):
+        out = tmp_path / "x.csv"
+        assert main(["rabi", "--start-site", site, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [[1, 2], "n_modes"])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "x.csv"
+        assert main(["steady", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_error_exit_code(self, tmp_path):
         code = main(["steady", "--n-modes", "2", "--kappa", "0",
                      "--output", str(tmp_path / "z.csv")])

@@ -192,16 +192,29 @@ class TestEvolveMasterEquation:
             assert np.abs(state.rho - want).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
-    def test_coherent_start_matches_full_space_expm(self):
-        # |0,0> + |1,0> couples total numbers 0 and 1: the sectors with number
-        # difference +1 and -1 evolve next to the number-diagonal one
-        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
-        psi = np.zeros(9)
+    @pytest.mark.parametrize("spec", [
+        make_uniform_chain(2, 1.0, LN2, 0.1, 0.2),
+        # a complex bond, a mode without a bath and a mode at zero temperature,
+        # whose jump operators (both of the first, the up-jump of the second)
+        # are zero
+        ChainSpec(
+            modes=(ModeParams(0.1, 0.2), ModeParams(0.0, 0.3), ModeParams(0.2, 0.0)),
+            bonds=(Bond(1.0 + 0.3j, 0.5 - 0.2j), Bond(0.8, 1.2)),
+        ),
+    ], ids=["2x3", "3x3-complex-idle-jumps"])
+    def test_coherent_start_matches_full_space_expm(self, spec):
+        # the vacuum plus one boson in the second-to-last mode (state 3)
+        # couples total numbers 0 and 1: the sectors with number difference
+        # +1 and -1 evolve next to the number-diagonal one
+        dim = 3**spec.n_modes
+        psi = np.zeros(dim)
         psi[[0, 3]] = math.sqrt(0.5)
-        rho0 = FockDensityMatrix(np.outer(psi, psi).astype(complex), cutoff=3, n_modes=2)
+        rho0 = FockDensityMatrix(
+            np.outer(psi, psi).astype(complex), cutoff=3, n_modes=spec.n_modes
+        )
         for tau in (0.5, 20.0):
             vec = expm(tau * full_liouvillian(spec, 3)) @ rho0.rho.ravel()
-            want = vec.reshape(9, 9) / vec.reshape(9, 9).trace()
+            want = vec.reshape(dim, dim) / vec.reshape(dim, dim).trace()
             state = evolve_master_equation(spec, rho0, tau)
             assert np.abs(state.rho - want).max() <= 1e-12
             assert abs(state.rho[0, 3]) > 1e-3
@@ -260,11 +273,15 @@ class TestOracleSteady:
             oracle_steady(make_uniform_chain(2, 1.0, LN2, 0.0, 0.1), 4)
 
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
-    @pytest.mark.parametrize("n_modes, cutoff", [(2, 4), (3, 3)])
-    def test_matches_full_space_liouvillian(self, n_modes, cutoff):
+    @pytest.mark.parametrize("n_modes, cutoff, phase", [
+        pytest.param(2, 4, 0.0, id="2-4"),
+        pytest.param(3, 3, 0.0, id="3-3"),
+        pytest.param(3, 3, 0.7, id="3-3-complex"),
+    ])
+    def test_matches_full_space_liouvillian(self, n_modes, cutoff, phase):
         spec = ChainSpec(
             modes=tuple(ModeParams(0.04 + 0.02 * i, 0.05 + 0.05 * i) for i in range(n_modes)),
-            bonds=tuple(Bond(1.3 * (1 + 0.2 * k), 0.6 / (1 + 0.2 * k))
+            bonds=tuple(Bond(1.3 * (1 + 0.2 * k) * np.exp(1j * phase), 0.6 / (1 + 0.2 * k))
                         for k in range(n_modes - 1)),
         )
         occ = oracle_steady(spec, cutoff, tol=1e-10)

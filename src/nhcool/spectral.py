@@ -8,6 +8,13 @@ rescaling grows like ``exp(A * i)`` along a uniform chain (the skin effect),
 so gauge weights are tracked in log space; chains of several hundred sites
 at asymmetry ln 2 stay finite where a direct rescaling would overflow.
 
+:func:`diagonalize` does only the tridiagonal eigensolve and keeps its real
+eigenvectors.  The spectral weights ``|psi_alpha_i|**2``, from which the
+occupations and the localization ratios are read, are formed from them in
+real log space on first use; the complex right eigenvectors are built only
+when they are read.  The gauge-stripped envelopes are the Hermitian
+eigenvectors themselves.
+
 The tridiagonal eigensolver comes from ``scipy.linalg``, which is imported
 on the first call to :func:`diagonalize`.
 """
@@ -15,6 +22,7 @@ on the first call to :func:`diagonalize`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,16 +40,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Real spectrum and unit-norm right eigenvectors of a gauge-reducible chain.
+    """Real spectrum and Hermitian-gauge eigenvectors of a gauge-reducible chain.
 
-    ``right_eigenvectors[:, alpha]`` is the eigenvector belonging to
-    ``eigenvalues[alpha]`` (sorted ascending), normalized to unit Euclidean
-    norm.  The similarity weight of site ``i`` is
-    ``exp(log_gauge[i]) * gauge_phase[i]``.
+    ``hermitian_eigenvectors[:, alpha]`` is the real unit-norm eigenvector of
+    the symmetric tridiagonal matrix for ``eigenvalues[alpha]`` (sorted
+    ascending).  The similarity weight of site ``i`` is
+    ``exp(log_gauge[i]) * gauge_phase[i]``, so the right eigenvector of ``h``
+    is the Hermitian one multiplied by it, site by site.
+
+    Two read-only arrays are derived on first access and cached:
+
+    ``weights``
+        ``|psi_alpha_i|**2`` of the unit-norm right eigenvectors, one column
+        per eigenvalue, each column summing to 1.  Formed in real log space,
+        so it stays finite however far the gauge grows.
+    ``right_eigenvectors``
+        The complex unit-norm right eigenvectors ``psi``; column ``alpha``
+        satisfies ``h @ psi = eigenvalues[alpha] * psi``.
     """
 
     eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
+    hermitian_eigenvectors: np.ndarray
     log_gauge: np.ndarray
     gauge_phase: np.ndarray
 
@@ -49,13 +68,37 @@ class SpectralDecomposition:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        # log|v| rather than log(v**2), so a component below 1e-162 does not
+        # underflow before its gauge weight is added.
+        w = np.abs(self.hermitian_eigenvectors)
+        with np.errstate(divide="ignore"):
+            np.log(w, out=w)
+        w += self.log_gauge[:, None]
+        w -= w.max(axis=0, keepdims=True)
+        w *= 2.0
+        np.exp(w, out=w)
+        w /= w.sum(axis=0, keepdims=True)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def right_eigenvectors(self) -> np.ndarray:
+        psi = self.gauge_phase[:, None] * np.copysign(
+            np.sqrt(self.weights), self.hermitian_eigenvectors
+        )
+        psi.flags.writeable = False
+        return psi
+
 
 def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     """Diagonalize a hopping matrix through its Hermitian gauge.
 
     Requires every bond product ``t_fwd * t_bwd`` to be real and strictly
     positive.  The returned eigenvalues are exactly real by construction and
-    the right eigenvectors satisfy ``h @ psi = eps * psi`` to solver accuracy.
+    the right eigenvectors, built on first access, satisfy
+    ``h @ psi = eps * psi`` to solver accuracy.
 
     Raises
     ------
@@ -67,15 +110,17 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     from scipy.linalg import eigh_tridiagonal
 
     prod = hopping.fwd * hopping.bwd
-    for k, p in enumerate(prod):
+    bad = (np.abs(prod.imag) > 1e-12 * np.abs(prod)) | (prod.real <= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        p = prod[k]
         if p == 0:
             raise SingularBond(
                 f"bond {k} has t_fwd * t_bwd = 0; split the chain there"
             )
-        if abs(p.imag) > 1e-12 * abs(p) or p.real <= 0:
-            raise NotGaugeReducible(
-                f"bond {k}: t_fwd * t_bwd = {p} is not a positive real number"
-            )
+        raise NotGaugeReducible(
+            f"bond {k}: t_fwd * t_bwd = {p} is not a positive real number"
+        )
 
     # Gauge ratio d_{k+1}/d_k = c_k / t_bwd_k maps h to a symmetric
     # tridiagonal matrix with off-diagonal c_k = sqrt(t_fwd_k * t_bwd_k).
@@ -87,16 +132,9 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     )
 
     eigenvalues, vecs = eigh_tridiagonal(np.zeros(len(log_gauge)), offdiag)
-
-    # Un-gauge in log space, then normalize each column.
-    with np.errstate(divide="ignore"):
-        logmag = log_gauge[:, None] + np.log(np.abs(vecs))
-    logmag -= logmag.max(axis=0, keepdims=True)
-    psi = gauge_phase[:, None] * np.sign(vecs) * np.exp(logmag)
-    psi /= np.linalg.norm(psi, axis=0, keepdims=True)
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
-        right_eigenvectors=psi,
+        hermitian_eigenvectors=vecs,
         log_gauge=log_gauge,
         gauge_phase=gauge_phase,
     )
@@ -105,14 +143,14 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
 def spectral_occupations(decomp: SpectralDecomposition, n_th: float) -> np.ndarray:
     """Occupations obtained by filling every eigenvector with ``n_th`` quanta.
 
-    Site ``i`` receives ``n_th * sum_alpha |psi_alpha_i|**2``.  With unit-norm
-    eigenvectors the total is exactly ``n_modes * n_th``, and a Hermitian
-    chain gives ``n_th`` on every site.
+    Site ``i`` receives ``n_th * sum_alpha |psi_alpha_i|**2``, read from the
+    real log-space ``weights``; the complex eigenvectors are never formed.
+    With unit-norm eigenvectors the total is exactly ``n_modes * n_th``, and
+    a Hermitian chain gives ``n_th`` on every site.
     """
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
-    weight = np.abs(decomp.right_eigenvectors) ** 2
-    return n_th * weight.sum(axis=1)
+    return n_th * decomp.weights.sum(axis=1)
 
 
 def localization_profile(decomp: SpectralDecomposition) -> np.ndarray:
@@ -122,7 +160,7 @@ def localization_profile(decomp: SpectralDecomposition) -> np.ndarray:
     holds ``|psi_alpha_{i+1} / psi_alpha_i|``.  Ratios are reported only where
     the denominator magnitude exceeds 1e-12; other entries are NaN.
     """
-    mags = np.abs(decomp.right_eigenvectors)
+    mags = np.sqrt(decomp.weights)
     denom = mags[:-1, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(denom > 1e-12, mags[1:, :] / denom, np.nan)
@@ -133,13 +171,9 @@ def gauge_stripped_envelopes(decomp: SpectralDecomposition) -> np.ndarray:
     """Eigenvector magnitudes with the exponential gauge weight removed.
 
     Column ``alpha`` is ``|psi_alpha_i| * exp(-log_gauge[i])`` normalized to
-    unit Euclidean norm; for a uniform chain this recovers the sine envelope
-    of the underlying Hermitian problem.  Computed in log space so chains deep
-    in the overflow regime stay finite.
+    unit Euclidean norm, which is ``|hermitian_eigenvectors[:, alpha]|``; for
+    a uniform chain this is the sine envelope of the underlying Hermitian
+    problem, accurate on every site however deep the chain is in the
+    overflow regime.
     """
-    with np.errstate(divide="ignore"):
-        logenv = np.log(np.abs(decomp.right_eigenvectors)) - decomp.log_gauge[:, None]
-    logenv -= logenv.max(axis=0, keepdims=True)
-    env = np.exp(logenv)
-    env /= np.linalg.norm(env, axis=0, keepdims=True)
-    return env
+    return np.abs(decomp.hermitian_eigenvectors)

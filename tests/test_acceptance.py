@@ -234,8 +234,10 @@ def test_criterion_09_oracle_agreement():
     assert runtime < 60.0
     # Expected failure: the trace-corrected master equation re-weights the
     # ensemble towards amplified sectors (d<N>/dt = -2 Cov(N, Gamma) with
-    # Gamma the anti-Hermitian part), settling ~2x above the conserving rate
-    # equations at exp(A) = 2 for any small n_th.  Left failing on purpose.
+    # Gamma the anti-Hermitian part), settling well above the conserving rate
+    # equations at exp(A) = 2 however small n_th is: the README's measured
+    # oracle/rate ratio table gives 1.56-1.60 at 2 modes and 2.7-3.5 at
+    # 3 modes.  Left failing on purpose.
     assert devs[0.1] <= 0.10, (
         f"master-equation occupations deviate from the rate equations by "
         f"{devs[0.1]:.1%} at n_th = 0.1 (the gap persists as n_th -> 0)"

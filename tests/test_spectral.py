@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,19 @@ LN2 = math.log(2.0)
 def decompose_uniform(n, asymmetry=LN2, coupling=1.0):
     spec = make_uniform_chain(n, coupling, asymmetry, 0.0, 1.0)
     return build_hopping_matrix(spec), diagonalize(build_hopping_matrix(spec))
+
+
+def random_phase_chain(n, seed, asymmetry=3.0):
+    """Chain with random t in [0.5, 2] and a random complex phase per bond."""
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(0.5, 2.0, n - 1)
+    phis = rng.uniform(-math.pi, math.pi, n - 1)
+    bonds = tuple(
+        Bond(t * math.exp(asymmetry) * np.exp(1j * phi),
+             t * math.exp(-asymmetry) * np.exp(-1j * phi))
+        for t, phi in zip(ts, phis)
+    )
+    return ChainSpec(modes=(ModeParams(0.0, 1.0),) * n, bonds=bonds)
 
 
 def open_chain_spectrum(n, coupling=1.0):
@@ -126,6 +140,16 @@ class TestDiagonalize:
         with pytest.raises(SingularBond):
             diagonalize(build_hopping_matrix(spec))
 
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(Bond(1.0, 0.0), SingularBond), (Bond(1.0, -1.0), NotGaugeReducible)],
+    )
+    def test_first_offending_bond_is_named(self, bad, error):
+        bonds = (Bond(2.0, 0.5), Bond(1.0, 1.0), bad, Bond(1.0, -2.0))
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * 5, bonds=bonds)
+        with pytest.raises(error, match=r"^bond 2\b"):
+            diagonalize(build_hopping_matrix(spec))
+
     def test_complex_bond_with_real_positive_product(self):
         # amplitudes may be complex as long as t_fwd * t_bwd > 0
         spec = ChainSpec(
@@ -138,6 +162,53 @@ class TestDiagonalize:
             psi = dec.right_eigenvectors[:, alpha]
             resid = np.linalg.norm(hop.matrix @ psi - dec.eigenvalues[alpha] * psi)
             assert resid <= 1e-10
+
+    def test_eigenvectors_built_only_on_access(self):
+        _, dec = decompose_uniform(40)
+        spectral_occupations(dec, 1.0)
+        localization_profile(dec)
+        assert "right_eigenvectors" not in vars(dec)
+        assert dec.hermitian_eigenvectors.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "bonds,expected",
+        [
+            # uniform chain, N = 3, A = ln 2
+            (
+                (Bond(2.0, 0.5),) * 2,
+                [
+                    [-2.0000000000000009e-01, 2.4253562503633297e-01, 2.0000000000000007e-01],
+                    [5.6568542494923812e-01, -3.3320293635273981e-17, 5.6568542494923790e-01],
+                    [-8.0000000000000004e-01, -9.7014250014533188e-01, 8.0000000000000004e-01],
+                ],
+            ),
+            # complex amplitudes with real positive bond products
+            (
+                (Bond(2.0j, -0.5j), Bond(1.5 * np.exp(0.3j), 0.5 * np.exp(-0.3j))),
+                [
+                    [0.24253562503633305, -0.2425356250363329, 0.24253562503633316],
+                    [-6.4168894791974807e-01j, 1.9023301839680455e-16j, 6.4168894791974818e-01j],
+                    [
+                        -0.2150225341004228 + 6.9510939753028411e-01j,
+                        -0.28669671213389714 + 9.2681253004037911e-01j,
+                        -0.21502253410042277 + 6.9510939753028400e-01j,
+                    ],
+                ],
+            ),
+        ],
+    )
+    def test_right_eigenvectors_match_eager_construction(self, bonds, expected):
+        # values of the former eager un-gauging; each column is fixed up to the
+        # sign the tridiagonal eigensolver picks
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * 3, bonds=bonds)
+        psi = diagonalize(build_hopping_matrix(spec)).right_eigenvectors
+        expected = np.array(expected)
+        for alpha in range(3):
+            dev = min(
+                np.abs(psi[:, alpha] - sign * expected[:, alpha]).max()
+                for sign in (1.0, -1.0)
+            )
+            assert dev <= 1e-13
 
 
 class TestSpectralOccupations:
@@ -186,6 +257,32 @@ class TestSpectralOccupations:
         _, dec = decompose_uniform(2)
         with pytest.raises(ValueError):
             spectral_occupations(dec, -1.0)
+
+    @pytest.mark.parametrize(
+        "spec,dps",
+        [
+            (random_phase_chain(12, seed=1), 60),
+            (random_phase_chain(16, seed=2), 80),
+            (make_alternating_chain(14, 1.0, 3.0, 0.6, -1.5, 0.0, 1.0), 60),
+        ],
+        ids=["phases-12", "phases-16", "alternating-14"],
+    )
+    def test_matches_extended_precision_eigenvectors(self, spec, dps):
+        # reference: right eigenvectors of the dense, untransformed h in
+        # extended precision, each normalized, summed as |psi|**2
+        hop = build_hopping_matrix(spec)
+        n = spec.n_modes
+        with mpmath.workdps(dps):
+            _, vecs = mpmath.eig(mpmath.matrix(hop.matrix.tolist()))
+            ref = [mpmath.mpf(0)] * n
+            for alpha in range(n):
+                col = [abs(vecs[i, alpha]) ** 2 for i in range(n)]
+                norm = mpmath.fsum(col)
+                for i in range(n):
+                    ref[i] += col[i] / norm
+            ref = np.array([float(x) for x in ref])
+        occ = spectral_occupations(diagonalize(hop), 1.0)
+        assert occ == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestLocalization:
@@ -255,3 +352,16 @@ class TestEnvelopes:
         _, dec = decompose_uniform(250)
         env = gauge_stripped_envelopes(dec)
         assert np.all(np.isfinite(env))
+
+    def test_envelope_exact_in_overflow_regime(self):
+        # the gauge spans exp(3 * 249) here, so |psi| underflows at the cold
+        # edge; the envelope must still be the sine on every site
+        n = 250
+        _, dec = decompose_uniform(n, asymmetry=3.0)
+        env = gauge_stripped_envelopes(dec)
+        i = np.arange(1, n + 1)
+        for alpha_ix in range(n):
+            a = n - alpha_ix
+            sine = np.abs(np.sin(a * np.pi * i / (n + 1)))
+            sine /= np.linalg.norm(sine)
+            assert env[:, alpha_ix] == pytest.approx(sine, abs=1e-10)

@@ -18,10 +18,11 @@ are diagonal in total boson number (the only blocks the thermal start state
 reaches), while :func:`evolve_master_equation` applies the exact propagator
 ``rho0 -> exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` on the blocks that the
 start state occupies.  The operators and the ``L0`` blocks are dense numpy
-arrays; the Hilbert dimension and each Liouvillian block are capped at
-``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
-``scipy.linalg`` and ``scipy.sparse.linalg`` are imported on the first call
-that needs them.
+arrays, and both solves on them are dense: a dense ``expm`` per occupied
+block for the trajectory, and ``eigvals`` plus inverse iteration for the
+stationary state.  The Hilbert dimension and each Liouvillian block are
+capped at ``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
+``scipy.linalg`` is imported on the first call that needs it.
 """
 
 from __future__ import annotations
@@ -225,8 +226,12 @@ def evolve_master_equation(
     ``rho' = L0 rho - Tr(L0 rho) rho`` exactly.  ``L0`` conserves the
     difference of the total boson numbers of a matrix element's two Fock
     states, so each such sector that ``rho0`` occupies (a number-diagonal
-    start state occupies only sector 0) is propagated on its own by
-    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham).
+    start state occupies only sector 0) is propagated on its own, by
+    applying the dense ``scipy.linalg.expm(t_end * L0)`` of its block
+    (scaling and squaring, Al-Mohy and Higham 2009).  Its cost is O(n^3) in
+    the block's rows and grows only with ``log(|L0| t_end)``, so long times
+    are cheap; on large blocks at short times it is slower than a
+    matrix-free propagator would be.
 
     Raises
     ------
@@ -235,7 +240,7 @@ def evolve_master_equation(
     DimensionTooLarge
         If an occupied sector has more than ``MAX_DIMENSION`` rows.
     """
-    from scipy.sparse.linalg import expm_multiply
+    from scipy.linalg import expm
 
     if rho0.n_modes != spec.n_modes:
         raise ValueError("initial state and chain have different mode counts")
@@ -247,9 +252,9 @@ def evolve_master_equation(
     pairs = [_sector_pairs(rho0.n_modes, rho0.cutoff, int(d)) for d in occupied]
     rho = np.zeros_like(rho0.rho, dtype=complex)
     for left, right in pairs:
-        rho[left, right] = expm_multiply(
-            t_end * _liouvillian(spec, rho0.cutoff, left, right), rho0.rho[left, right]
-        )
+        generator = _liouvillian(spec, rho0.cutoff, left, right)
+        generator *= t_end  # in place: one block-sized copy fewer at the peak
+        rho[left, right] = expm(generator) @ rho0.rho[left, right]
     state = FockDensityMatrix(
         rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
     )
@@ -262,41 +267,66 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
 
     The fixed point reached from the product thermal state is the leading
     eigenvector of the linear Liouvillian ``L0`` restricted to the blocks of
-    ``rho`` diagonal in total boson number, normalized to unit trace; a
-    dense eigensolve of that block does the rest.  ``L0`` maps the block into
-    itself, so the residual ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is
-    evaluated on the same block.
+    ``rho`` diagonal in total boson number, normalized to unit trace.  The
+    block's eigenvalues (no vectors) locate the leading one, ``lambda_1``;
+    two steps of inverse iteration with one LU factorization of
+    ``L0 - Re(lambda_1)``, started from the thermal state and normalized to
+    unit trace after each step, give its eigenvector to rounding.  ``L0``
+    maps the block into itself, so the residual
+    ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is evaluated on the same block.
 
     Raises
     ------
     SingularSystem
-        If some mode carries no dissipation, or the leading eigenvalue is
-        not real and simple (no unique stationary state).
+        If some mode carries no dissipation, the leading eigenvalue is not
+        real and simple (no unique stationary state), or inverse iteration
+        does not give a finite vector.
     DimensionTooLarge
         If the number-diagonal block has more than ``MAX_DIMENSION`` rows.
     ToleranceNotMet
         If the max-norm of ``drho/dtau`` at the result exceeds ``tol``.
     """
-    from scipy.linalg import eig
+    from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve
 
     kappa = spec.kappa_vector()
     if not np.all(kappa > 0):
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")
     left, right = _sector_pairs(spec.n_modes, cutoff)
     liouvillian = _liouvillian(spec, cutoff, left, right)
-    evals, evecs = eig(liouvillian)
+    evals = eigvals(liouvillian)
     order = np.argsort(evals.real)[::-1]
     lead = evals[order[0]]
     gap = lead.real - evals[order[1]].real  # cutoff >= 2: at least two rows
-    floor = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.abs(evals).max()))
+    scale = float(np.abs(evals).max())
+    floor = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
     if abs(lead.imag) > floor or gap <= floor:
         raise SingularSystem(
             f"leading Liouvillian eigenvalue {lead:.3e} is not real and simple "
             f"(gap {gap:.3e})"
         )
     diagonal = left == right
-    vec = evecs[:, order[0]]
-    vec /= vec[diagonal].sum()
+
+    def factor(shift: float):
+        shifted = liouvillian.copy()
+        shifted[np.diag_indices_from(shifted)] -= shift
+        with warnings.catch_warnings():
+            # an exactly zero pivot is checked for below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            return lu_factor(shifted, overwrite_a=True, check_finite=False)
+
+    lu = factor(lead.real)
+    if not np.all(lu[0].diagonal()):
+        # the shift hit lambda_1 exactly; one rounding step away it is still
+        # far nearer to lambda_1 than to the rest of the spectrum (gap > floor)
+        lu = factor(lead.real + np.finfo(float).eps * scale)
+    # start from the thermal state: the fixed point sought is the one its flow reaches
+    vec = thermal_state(spec, cutoff).rho[left, right]
+    with np.errstate(all="ignore"):  # a singular factor gives inf or nan, caught below
+        for _ in range(2):
+            vec = lu_solve(lu, vec, check_finite=False)
+            vec /= vec[diagonal].sum()
+    if not np.all(np.isfinite(vec)):
+        raise SingularSystem("inverse iteration gave a non-finite leading eigenvector")
     flow = liouvillian @ vec
     residual = float(np.abs(flow - flow[diagonal].sum() * vec).max())
     if residual > tol:

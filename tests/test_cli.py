@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nhcool import oracle
 from nhcool.cli import main
 
 LN2 = math.log(2.0)
@@ -208,6 +209,23 @@ class TestOracleCommand:
         code = main(["oracle", "--output", str(out), "--n-th", "0.1",
                      "--kappa", "0.05", "--cutoff", "4", "--max-rel-dev", "1.5"])
         assert code == 0
+
+    def test_zero_temperature_agrees(self, tmp_path):
+        # every layer returns exactly 0; 0 against 0 is agreement, not 0/0
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle", "--output", str(out), "--n-th", "0",
+                     "--kappa", "0.05", "--cutoff", "3"])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert np.all(rows[:, 1:] == 0.0)
+
+    def test_zero_temperature_deviation_in_one_mode_fails(self, tmp_path, monkeypatch):
+        # mode 1 agrees at 0, mode 2 does not: nonzero against 0 deviates
+        # without bound, and the agreeing mode must not hide it
+        monkeypatch.setattr(oracle, "oracle_steady", lambda *args, **kw: np.array([0.0, 1e-3]))
+        code = main(["oracle", "--output", str(tmp_path / "oracle.csv"), "--n-th", "0",
+                     "--kappa", "0.05", "--cutoff", "3", "--max-rel-dev", "1e6"])
+        assert code == 4
 
 
 class TestExitCodesAndDeterminism:

@@ -76,6 +76,19 @@ print(json.dumps(report))
 """
 
 
+_ORACLE_SCRIPT = _PRELUDE + """
+from nhcool import evolve_master_equation, make_uniform_chain, oracle_steady, thermal_state
+pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
+report = {
+    "oracle_steady": oracle_steady(pair, 3).tolist(),
+    "evolve_master_equation": evolve_master_equation(
+        pair, thermal_state(pair, 3), 1.0).occupations().tolist(),
+    "scipy": scipy_modules(),
+}
+print(json.dumps(report))
+"""
+
+
 def _run_fresh(script: str, commands: list[list[str]], out_dir: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands), str(out_dir)],
@@ -111,3 +124,12 @@ def test_deferred_scipy_imports_resolve(tmp_path):
     # both trajectories are exact propagations; no integrator is loaded
     assert not [m for m in report["scipy"] if m.startswith("scipy.integrate")]
     assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_USING)
+
+
+def test_oracle_is_dense(tmp_path):
+    # both oracle solves are dense: scipy.linalg, and no scipy.sparse module
+    report = _run_fresh(_ORACLE_SCRIPT, [], tmp_path)
+    assert len(report["oracle_steady"]) == 2
+    assert len(report["evolve_master_equation"]) == 2
+    assert "scipy.linalg" in report["scipy"]
+    assert not [m for m in report["scipy"] if m.startswith("scipy.sparse")]

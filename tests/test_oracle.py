@@ -219,6 +219,22 @@ class TestEvolveMasterEquation:
             assert np.abs(state.rho - want).max() <= 1e-12
             assert abs(state.rho[0, 3]) > 1e-3
 
+    def test_long_time_trajectory_equals_stationary_state(self):
+        # 344 rows; the spectral gap is 0.0434, so tau = 920 = 40 / gap leaves
+        # the transient at e^-40 of the stationary state
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        state = evolve_master_equation(spec, thermal_state(spec, 8), 920.0)
+        assert state.occupations() == pytest.approx(oracle_steady(spec, 8), rel=1e-13, abs=0)
+
+    # cutoff 5 pads the top Fock level a little past the reporting threshold
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_very_long_time_stays_finite(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        state = evolve_master_equation(spec, thermal_state(spec, 5), 1e5)
+        assert np.all(np.isfinite(state.rho))
+        assert state.trace_error() <= 1e-15
+        assert state.occupations() == pytest.approx(oracle_steady(spec, 5), rel=1e-12, abs=0)
+
     def test_rejects_negative_time(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
         with pytest.raises(ValueError):
@@ -267,6 +283,12 @@ class TestOracleSteady:
             devs.append(max(abs(occ[0] - n1) / n1, abs(occ[1] - n2) / n2))
         assert devs[0] > devs[1] > devs[2]
         assert devs[0] < 2.0
+
+    def test_zero_temperature_is_the_exact_vacuum(self):
+        # the leading eigenvalue is exactly 0, so the first shifted LU meets an
+        # exactly zero pivot; the nudged shift still returns the vacuum exactly
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.0)
+        assert oracle_steady(spec, 5).tolist() == [0.0, 0.0]
 
     def test_rejects_bathless_chain(self):
         with pytest.raises(SingularSystem):

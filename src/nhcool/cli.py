@@ -5,12 +5,15 @@ CSV with a header row, rows in deterministic grid order and floats at full
 double precision, so repeated runs are byte-identical.  ``--output -``
 writes to standard output.
 
-Values are resolved in the order: command-line flag, then ``--config`` JSON
-file, then built-in default.  The config file is a flat JSON object with
-keys ``n_modes, t, A, kappa, n_th, t0, kappa0, cutoff, tol`` plus any
-command-specific key named like its flag (dashes become underscores), and an
-optional ``bonds`` list of per-bond overrides ``{"index": k, "t": ..,
-"A": ..}``.  Any other key is a usage error.
+Each subcommand declares exactly the flags it reads, with their defaults.
+The values of a ``--config`` JSON object become the command's defaults
+before a second parse, so argparse applies flag > config > default and
+converts a config value with its flag's type.  Every command accepts the
+shared keys ``n_modes, t, A, kappa, n_th, t0, kappa0, cutoff, tol`` (those
+it has no flag for are ignored), its own flags spelled with underscores
+(``kappa0_count``) and a ``bonds`` list of per-bond overrides ``{"index": k,
+"t": .., "A": ..}``, applied by every command that builds a chain.  Any
+other key is a usage error.
 
 Exit status: 0 on success, 2 on usage errors, 3 on solver errors, 4 when a
 cross-layer validation fails.
@@ -27,24 +30,23 @@ import numpy as np
 
 from . import dynamics, oracle, spectral, steady
 from .errors import CoolingError
-from .model import build_hopping_matrix, chain_from_config, make_uniform_chain
+from .model import ChainSpec, build_hopping_matrix, chain_from_config
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
-DEFAULTS = {
-    "n_modes": 2,
-    "t": 1.0,
-    "A": math.log(2.0),
-    "kappa": 0.01,
-    "n_th": 1.0,
-    "t0": 1.0,
-    "kappa0": 0.01,
-    "cutoff": 5,
-    "tol": 1e-8,
+# The uniform-chain flags: key -> (type, default, help).
+CHAIN_FLAGS = {
+    "n_modes": (int, 2, "number of chain modes"),
+    "t": (float, 1.0, "reference coupling"),
+    "A": (float, math.log(2.0), "asymmetry exponent"),
+    "kappa": (float, 0.01, "dissipation rate of every mode"),
+    "n_th": (float, 1.0, "bath occupation of every mode"),
 }
+# Keys any command's config file may hold, whether or not the command reads them.
+SHARED_CONFIG_KEYS = frozenset({*CHAIN_FLAGS, "t0", "kappa0", "cutoff", "tol", "bonds"})
 
 
 class ValidationFailure(Exception):
@@ -68,44 +70,10 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write(text)
 
 
-class _Resolver:
-    """Flag > config file > default, per key."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = {}
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                self.config = json.load(fh)
-            if not isinstance(self.config, dict):
-                raise ValueError("config file must hold a JSON object")
-        allowed = set(DEFAULTS) | {"bonds"} | (set(vars(args)) - {"command", "func"})
-        unknown = sorted(set(self.config) - allowed)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-
-    def get(self, key: str, default=None, cast=float):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return cast(self.config[key])
-        if default is not None:
-            return cast(default)
-        return cast(DEFAULTS[key]) if key in DEFAULTS else None
-
-    def chain(self, n_modes=None):
-        n = self.get("n_modes", n_modes, cast=int)
-        cfg = {
-            "n_modes": n,
-            "t": self.get("t"),
-            "A": self.get("A"),
-            "kappa": self.get("kappa"),
-            "n_th": self.get("n_th"),
-        }
-        if "bonds" in self.config:
-            cfg["bonds"] = self.config["bonds"]
-        return chain_from_config(cfg)
+def _chain(args: argparse.Namespace, **overrides) -> ChainSpec:
+    """The chain of the command's flags and config ``bonds``, with ``overrides``."""
+    config = {key: getattr(args, key) for key in CHAIN_FLAGS if hasattr(args, key)}
+    return chain_from_config({**config, "bonds": args.bonds, **overrides})
 
 
 def _float_list(text: str) -> list[float]:
@@ -120,18 +88,13 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_rabi(args) -> int:
-    res = _Resolver(args)
-    spec = res.chain(n_modes=2)
-    periods = res.get("periods", 2.0)
-    grid = res.get("grid", 400, cast=int)
-    if grid < 1:
+    spec = _chain(args)
+    if args.grid < 1:
         raise ValueError("grid must be >= 1")
-    site = res.get("start_site", 1, cast=int)  # sites are 1-based here
-    if not 1 <= site <= spec.n_modes:
-        raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {site}")
-    t_ref = spec.reference_coupling
-    tau = np.linspace(0.0, periods * math.pi / t_ref, grid)
-    traj = dynamics.single_excitation_trace(spec, site - 1, tau)
+    if not 1 <= args.start_site <= spec.n_modes:  # sites are 1-based here
+        raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {args.start_site}")
+    tau = np.linspace(0.0, args.periods * math.pi / spec.reference_coupling, args.grid)
+    traj = dynamics.single_excitation_trace(spec, args.start_site - 1, tau)
     header = ["tau"] + [f"n_{i + 1}" for i in range(spec.n_modes)]
     rows = [(tau[k], *traj.occupations[k]) for k in range(len(tau))]
     _write_csv(args.output, header, rows)
@@ -139,30 +102,18 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_sweep_a(args) -> int:
-    res = _Resolver(args)
-    lo = res.get("ea_min", 1.0)
-    hi = res.get("ea_max", 5.0)
-    count = res.get("ea_count", 100, cast=int)
-    kappa = res.get("kappa")
-    n_th = res.get("n_th")
-    t = res.get("t")
-    rows = []
-    for ea in np.linspace(lo, hi, count):
-        n1, n2 = steady.closed_form_two_mode(t, math.log(ea), kappa, kappa, n_th)
-        rows.append((ea, n1, n2))
+    rows = [
+        (ea, *steady.closed_form_two_mode(args.t, math.log(ea), args.kappa, args.kappa, args.n_th))
+        for ea in np.linspace(args.ea_min, args.ea_max, args.ea_count)
+    ]
     _write_csv(args.output, ["exp_asymmetry", "n_1", "n_2"], rows)
     return EXIT_OK
 
 
 def cmd_chain_profile(args) -> int:
-    res = _Resolver(args)
-    sizes = res.get("sizes", None, cast=str)
-    sizes = _int_list(sizes) if sizes else [5, 10, 15]
     rows = []
-    for n in sizes:
-        spec = make_uniform_chain(
-            n, res.get("t"), res.get("A"), res.get("kappa"), res.get("n_th"),
-        )
+    for n in args.sizes:
+        spec = _chain(args, n_modes=n)
         occ = steady.solve_steady_chain(spec).occupations
         hn = spectral.spectral_occupations(
             spectral.diagonalize(build_hopping_matrix(spec)), spec.modes[0].n_th
@@ -173,25 +124,16 @@ def cmd_chain_profile(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    res = _Resolver(args)
-    n_min = res.get("n_min", 2, cast=int)
-    n_max = res.get("n_max", 30, cast=int)
-    kappas = res.get("kappas", None, cast=str)
-    kappas = _float_list(kappas) if kappas else [1e-4, 1e-3, 1e-2]
-    t = res.get("t")
-    a = res.get("A")
-    n_th = res.get("n_th")
-    sizes = list(range(n_min, n_max + 1))
+    sizes = range(args.n_min, args.n_max + 1)
     spectral_edge = {}
     for n in sizes:
-        bare = make_uniform_chain(n, t, a, 0.0, n_th)
-        decomp = spectral.diagonalize(build_hopping_matrix(bare))
-        spectral_edge[n] = spectral.spectral_occupations(decomp, n_th)[0]
+        decomp = spectral.diagonalize(build_hopping_matrix(_chain(args, n_modes=n, kappa=0.0)))
+        spectral_edge[n] = spectral.spectral_occupations(decomp, args.n_th)[0]
     rows = []
-    for kappa in kappas:
-        plateau = steady.plateau_limit(t, a, kappa, n_th)
+    for kappa in args.kappas:
+        plateau = steady.plateau_limit(args.t, args.A, kappa, args.n_th)
         for n in sizes:
-            spec = make_uniform_chain(n, t, a, kappa, n_th)
+            spec = _chain(args, n_modes=n, kappa=kappa)
             n1 = steady.solve_steady_chain(spec).occupations[0]
             rows.append((n, kappa, n1, plateau, spectral_edge[n]))
     _write_csv(args.output, ["N", "kappa", "n_1", "plateau", "n_1_spectral"], rows)
@@ -199,19 +141,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_attached(args) -> int:
-    res = _Resolver(args)
-    n = res.get("n_modes", 15, cast=int)
-    spec = make_uniform_chain(
-        n, res.get("t"), res.get("A"), res.get("kappa"), res.get("n_th"),
-    )
-    k_lo = res.get("kappa0_min", 1e-4)
-    k_hi = res.get("kappa0_max", 1e-1)
-    k_count = res.get("kappa0_count", 20, cast=int)
-    t_lo = res.get("t0_min", 0.05)
-    t_hi = res.get("t0_max", 2.0)
-    t_count = res.get("t0_count", 20, cast=int)
-    kappa0_grid = np.geomspace(k_lo, k_hi, k_count)
-    t0_grid = np.linspace(t_lo, t_hi, t_count)
+    spec = _chain(args)
+    kappa0_grid = np.geomspace(args.kappa0_min, args.kappa0_max, args.kappa0_count)
+    t0_grid = np.linspace(args.t0_min, args.t0_max, args.t0_count)
     rows = []
     for k0 in kappa0_grid:
         for t0 in t0_grid:
@@ -232,40 +164,31 @@ def _max_rel_dev(values: np.ndarray, reference: np.ndarray) -> float:
 
 
 def cmd_oracle(args) -> int:
-    res = _Resolver(args)
-    spec = res.chain(n_modes=2)
-    cutoff = res.get("cutoff", cast=int)
-    tol = res.get("tol")
-    max_dev = res.get("max_rel_dev", 0.10)
-    dyn_dev = res.get("dyn_rel_dev", 1e-3)
+    spec = _chain(args)
     n_rate = steady.solve_steady_chain(spec).occupations
     n_dyn = dynamics.steady_from_dynamics(spec, tol=1e-6).occupations
-    n_orc = oracle.oracle_steady(spec, cutoff, tol=tol)
-    rows = [
-        (i + 1, n_rate[i], n_dyn[i], n_orc[i]) for i in range(spec.n_modes)
-    ]
+    n_orc = oracle.oracle_steady(spec, args.cutoff, tol=args.tol)
+    rows = [(i + 1, n_rate[i], n_dyn[i], n_orc[i]) for i in range(spec.n_modes)]
     _write_csv(args.output, ["mode", "n_rate", "n_dynamics", "n_oracle"], rows)
     rate_vs_orc = _max_rel_dev(n_orc, n_rate)
     rate_vs_dyn = _max_rel_dev(n_dyn, n_rate)
-    if rate_vs_orc > max_dev:
+    if rate_vs_orc > args.max_rel_dev:
         raise ValidationFailure(
             f"rate equations deviate from the master equation by "
-            f"{rate_vs_orc:.3%} (limit {max_dev:.3%})"
+            f"{rate_vs_orc:.3%} (limit {args.max_rel_dev:.3%})"
         )
-    if rate_vs_dyn > dyn_dev:
+    if rate_vs_dyn > args.dyn_rel_dev:
         raise ValidationFailure(
             f"moment dynamics deviate from the rate equations by "
-            f"{rate_vs_dyn:.3e} (limit {dyn_dev:.3e})"
+            f"{rate_vs_dyn:.3e} (limit {args.dyn_rel_dev:.3e})"
         )
     return EXIT_OK
 
 
 def cmd_steady(args) -> int:
-    res = _Resolver(args)
-    spec = res.chain()
-    t0 = res.get("t0", 0.0) if (args.t0 is not None or "t0" in res.config) else None
-    if t0 is not None:
-        att = steady.AttachedModeSpec(coupling=t0, kappa=res.get("kappa0"))
+    spec = _chain(args)
+    if args.t0 is not None:
+        att = steady.AttachedModeSpec(coupling=args.t0, kappa=args.kappa0)
         occ = steady.solve_with_attached(spec, att).occupations
         rows = [(i, occ[i]) for i in range(len(occ))]  # attached mode is site 0
     else:
@@ -278,15 +201,19 @@ def cmd_steady(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
+def _command(sub, name: str, func, text: str) -> argparse.ArgumentParser:
+    # no prefix matching: a removed or misspelt flag must not bind to a longer one
+    p = sub.add_parser(name, help=text, allow_abbrev=False)
+    p.add_argument("--config", help="JSON file whose values replace the defaults")
     p.add_argument("--output", "-o", default="-", help="output CSV path, '-' for stdout")
-    p.add_argument("--n-modes", dest="n_modes", type=int)
-    p.add_argument("--t", type=float, help="reference coupling")
-    p.add_argument("--A", type=float, help="asymmetry exponent")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--n-th", dest="n_th", type=float)
-    p.add_argument("--tol", type=float)
+    p.set_defaults(func=func, subparser=p, bonds=None)
+    return p
+
+
+def _add_chain_flags(p: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        kind, default, text = CHAIN_FLAGS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,64 +223,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rabi", help="normalized single-excitation oscillation")
-    _add_common(p)
-    p.add_argument("--grid", type=int, help="number of sample times")
-    p.add_argument("--periods", type=float, help="number of oscillation periods")
-    p.add_argument("--start-site", dest="start_site", type=int, help="1-based site")
-    p.set_defaults(func=cmd_rabi)
+    p = _command(sub, "rabi", cmd_rabi, "normalized single-excitation oscillation")
+    _add_chain_flags(p, "n_modes", "t", "A")
+    p.add_argument("--grid", type=int, default=400, help="number of sample times")
+    p.add_argument("--periods", type=float, default=2.0, help="number of oscillation periods")
+    p.add_argument("--start-site", type=int, default=1, help="1-based site")
 
-    p = sub.add_parser("sweep-A", help="two-mode occupations vs exp(A)")
-    _add_common(p)
-    p.add_argument("--ea-min", dest="ea_min", type=float)
-    p.add_argument("--ea-max", dest="ea_max", type=float)
-    p.add_argument("--ea-count", dest="ea_count", type=int)
-    p.set_defaults(func=cmd_sweep_a)
+    p = _command(sub, "sweep-A", cmd_sweep_a, "two-mode occupations vs exp(A)")
+    _add_chain_flags(p, "t", "kappa", "n_th")
+    p.add_argument("--ea-min", type=float, default=1.0)
+    p.add_argument("--ea-max", type=float, default=5.0)
+    p.add_argument("--ea-count", type=int, default=100)
 
-    p = sub.add_parser("chain-profile", help="per-site occupations, rate vs spectral")
-    _add_common(p)
-    p.add_argument("--sizes", help="comma list of chain lengths")
-    p.set_defaults(func=cmd_chain_profile)
+    p = _command(sub, "chain-profile", cmd_chain_profile, "per-site rate and spectral occupations")
+    _add_chain_flags(p, "t", "A", "kappa", "n_th")
+    p.add_argument("--sizes", type=_int_list, default="5,10,15", help="comma list of lengths")
 
-    p = sub.add_parser("scaling", help="cold-edge occupation vs chain length")
-    _add_common(p)
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--kappas", help="comma list of dissipation rates")
-    p.set_defaults(func=cmd_scaling)
+    p = _command(sub, "scaling", cmd_scaling, "cold-edge occupation vs chain length")
+    _add_chain_flags(p, "t", "A", "n_th")
+    p.add_argument("--n-min", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=30)
+    p.add_argument("--kappas", type=_float_list, default="1e-4,1e-3,1e-2", help="comma list")
 
-    p = sub.add_parser("attached", help="attached-mode occupation over a 2-D grid")
-    _add_common(p)
-    p.add_argument("--kappa0-min", dest="kappa0_min", type=float)
-    p.add_argument("--kappa0-max", dest="kappa0_max", type=float)
-    p.add_argument("--kappa0-count", dest="kappa0_count", type=int)
-    p.add_argument("--t0-min", dest="t0_min", type=float)
-    p.add_argument("--t0-max", dest="t0_max", type=float)
-    p.add_argument("--t0-count", dest="t0_count", type=int)
-    p.set_defaults(func=cmd_attached)
+    p = _command(sub, "attached", cmd_attached, "attached-mode occupation over a 2-D grid")
+    _add_chain_flags(p, "n_modes", "t", "A", "kappa", "n_th")
+    p.set_defaults(n_modes=15)
+    p.add_argument("--kappa0-min", type=float, default=1e-4)
+    p.add_argument("--kappa0-max", type=float, default=1e-1)
+    p.add_argument("--kappa0-count", type=int, default=20)
+    p.add_argument("--t0-min", type=float, default=0.05)
+    p.add_argument("--t0-max", type=float, default=2.0)
+    p.add_argument("--t0-count", type=int, default=20)
 
-    p = sub.add_parser("oracle", help="cross-validate the three solver layers")
-    _add_common(p)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--max-rel-dev", dest="max_rel_dev", type=float,
-                   help="allowed rate-vs-master-equation deviation")
-    p.add_argument("--dyn-rel-dev", dest="dyn_rel_dev", type=float,
-                   help="allowed rate-vs-moment-dynamics deviation")
-    p.set_defaults(func=cmd_oracle)
+    p = _command(sub, "oracle", cmd_oracle, "cross-validate the three solver layers")
+    _add_chain_flags(p, "n_modes", "t", "A", "kappa", "n_th")
+    p.add_argument("--cutoff", type=int, default=5, help="Fock levels per mode")
+    p.add_argument("--tol", type=float, default=1e-8, help="master-equation residual limit")
+    p.add_argument("--max-rel-dev", type=float, default=0.10, help="rate vs master-equation limit")
+    p.add_argument("--dyn-rel-dev", type=float, default=1e-3, help="rate vs moment-dynamics limit")
 
-    p = sub.add_parser("steady", help="single stationary solve")
-    _add_common(p)
+    p = _command(sub, "steady", cmd_steady, "single stationary solve")
+    _add_chain_flags(p, "n_modes", "t", "A", "kappa", "n_th")
     p.add_argument("--t0", type=float, help="attach an extra mode with this coupling")
-    p.add_argument("--kappa0", type=float)
-    p.set_defaults(func=cmd_steady)
+    p.add_argument("--kappa0", type=float, default=0.01, help="kappa of the attached mode")
 
     return parser
+
+
+def _use_config(args: argparse.Namespace) -> None:
+    """Make the ``--config`` file's values the defaults of the command's parser."""
+    with open(args.config, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = set(vars(args)) - {"command", "func", "subparser", "config", "output", "bonds"}
+    unknown = sorted(set(config) - flags - SHARED_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    # argparse converts a string default with the flag's type; str() of a float is exact
+    defaults = {key: str(value) for key, value in config.items() if key in flags}
+    args.subparser.set_defaults(bonds=config.get("bonds"), **defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _use_config(args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationFailure as exc:
         print(f"validation failed: {exc}", file=sys.stderr)

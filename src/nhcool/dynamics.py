@@ -76,6 +76,8 @@ def single_excitation_trace(
     if not 0 <= initial_site < n:
         raise IndexError(f"initial_site {initial_site} out of range for {n} modes")
     tau = np.asarray(tau_grid, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError("tau_grid must be finite")
     h = build_hopping_matrix(spec).matrix
     evals, vecs = np.linalg.eig(h)
     coeff = np.linalg.solve(vecs, np.eye(n, dtype=complex)[:, initial_site])

@@ -50,10 +50,10 @@ class ModeParams:
     n_th: float
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.n_th < 0:
-            raise ValueError(f"n_th must be >= 0, got {self.n_th}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0 <= self.n_th < math.inf:
+            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class ChainSpec:
                 f"open chain with {len(self.modes)} modes needs "
                 f"{len(self.modes) - 1} bonds, got {len(self.bonds)}"
             )
-        if not self.reference_coupling > 0:
-            raise ValueError("reference_coupling must be positive")
+        if not 0 < self.reference_coupling < math.inf:
+            raise ValueError("reference_coupling must be finite and positive")
 
     @property
     def n_modes(self) -> int:
@@ -140,16 +140,17 @@ class RateMatrix:
 
 
 def _canonical_bond(coupling: float, asymmetry: float) -> Bond:
+    """The bond ``t * exp(+-A)``, whose amplitudes must be finite and nonzero."""
+    if not 0 < coupling < math.inf:
+        raise ValueError(f"coupling must be finite and positive, got {coupling}")
+    if not abs(math.log(coupling)) + abs(asymmetry) < 709.0:  # exp(709.8) overflows
+        raise ValueError(f"amplitudes t exp(+-A) overflow or are not finite at A = {asymmetry}")
     return Bond(coupling * math.exp(asymmetry), coupling * math.exp(-asymmetry))
 
 
-def _check_chain_args(n_modes: int, kappa: float, n_th: float) -> None:
+def _check_n_modes(n_modes: int) -> None:
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if n_th < 0:
-        raise ValueError(f"n_th must be >= 0, got {n_th}")
 
 
 def make_uniform_chain(
@@ -173,9 +174,7 @@ def make_uniform_chain(
     kappa, n_th : float
         Dissipation rate and bath occupation, identical for every mode.
     """
-    _check_chain_args(n_modes, kappa, n_th)
-    if not coupling > 0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
+    _check_n_modes(n_modes)
     modes = (ModeParams(kappa, n_th),) * n_modes
     bonds = (_canonical_bond(coupling, asymmetry),) * (n_modes - 1)
     return ChainSpec(modes=modes, bonds=bonds, reference_coupling=coupling)
@@ -196,9 +195,7 @@ def make_alternating_chain(
     the bonds in between use ``(coupling_even, asymmetry_even)``.  With equal
     parameters this reduces exactly to :func:`make_uniform_chain`.
     """
-    _check_chain_args(n_modes, kappa, n_th)
-    if not coupling_odd > 0 or not coupling_even > 0:
-        raise ValueError("couplings must be positive")
+    _check_n_modes(n_modes)
     odd = _canonical_bond(coupling_odd, asymmetry_odd)
     even = _canonical_bond(coupling_even, asymmetry_even)
     bonds = tuple(odd if k % 2 == 0 else even for k in range(n_modes - 1))
@@ -315,16 +312,17 @@ def chain_from_config(config: dict) -> ChainSpec:
     overrides = config.get("bonds") or []
     if not overrides:
         return spec
+    if not isinstance(overrides, list):
+        raise ValueError("bonds must be a list of overrides")
     bonds = list(spec.bonds)
     for entry in overrides:
+        # a misspelled key would otherwise leave the bond silently unchanged
+        if not isinstance(entry, dict) or "index" not in entry or set(entry) - {"index", "t", "A"}:
+            raise ValueError(f"bond override {entry!r} needs an index and only t, A besides")
         k = int(entry["index"])
         if not 0 <= k < len(bonds):
             raise ValueError(f"bond override index {k} out of range")
-        bond_t = float(entry.get("t", t))
-        bond_a = float(entry.get("A", a))
-        if not bond_t > 0:
-            raise ValueError("bond override coupling must be positive")
-        bonds[k] = _canonical_bond(bond_t, bond_a)
+        bonds[k] = _canonical_bond(float(entry.get("t", t)), float(entry.get("A", a)))
     return ChainSpec(
         modes=spec.modes, bonds=tuple(bonds), reference_coupling=spec.reference_coupling
     )

@@ -27,6 +27,7 @@ capped at ``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -52,6 +53,10 @@ __all__ = [
 
 MAX_DIMENSION = 4096
 TOP_LEVEL_LIMIT = 1e-3
+# largest ||L0 tau||_1 handed to one expm: its entries stay below e^500, and
+# each squaring starts from a matrix rescaled to largest entry 1, so no
+# intermediate comes near the overflow at e^709
+EXPM_NORM_LIMIT = 500.0
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,10 @@ def evolve_master_equation(
     states, so each such sector that ``rho0`` occupies (a number-diagonal
     start state occupies only sector 0) is propagated on its own, by
     applying the dense ``scipy.linalg.expm(t_end * L0)`` of its block
-    (scaling and squaring, Al-Mohy and Higham 2009).  Its cost is O(n^3) in
+    (scaling and squaring, Al-Mohy and Higham 2009).  Past
+    ``|L0 t_end|_1 = EXPM_NORM_LIMIT`` the exponential of ``t_end * L0 / 2**s``
+    is squared ``s`` times here instead, rescaled before each squaring so that
+    the growth ``exp(lambda_1 t_end)`` cannot overflow.  Its cost is O(n^3) in
     the block's rows and grows only with ``log(|L0| t_end)``, so long times
     are cheap; on large blocks at short times it is slower than a
     matrix-free propagator would be.
@@ -251,10 +259,29 @@ def evolve_master_equation(
     # every sector's size guard runs before any operator is allocated
     pairs = [_sector_pairs(rho0.n_modes, rho0.cutoff, int(d)) for d in occupied]
     rho = np.zeros_like(rho0.rho, dtype=complex)
+    log_scales = []
     for left, right in pairs:
         generator = _liouvillian(spec, rho0.cutoff, left, right)
-        generator *= t_end  # in place: one block-sized copy fewer at the peak
-        rho[left, right] = expm(generator) @ rho0.rho[left, right]
+        # exp(L0 tau) grows like exp(lambda_1 tau) and overflows at long times:
+        # exponentiate a piece of norm <= EXPM_NORM_LIMIT, then square it back
+        # up, dividing by its largest entry before each squaring and keeping
+        # the log of the divisors
+        norm = np.abs(generator).sum(axis=0).max() * t_end
+        squarings = math.ceil(math.log2(norm / EXPM_NORM_LIMIT)) if norm > EXPM_NORM_LIMIT else 0
+        generator *= t_end / 2.0**squarings  # in place: one block-sized copy fewer at the peak
+        propagator = expm(generator)
+        log_scale = 0.0
+        for _ in range(squarings):
+            peak = np.abs(propagator).max()
+            propagator /= peak
+            propagator = propagator @ propagator
+            log_scale = 2.0 * (log_scale + math.log(peak))
+        rho[left, right] = propagator @ rho0.rho[left, right]
+        log_scales.append(log_scale)
+    # restore the sectors' relative scale; the trace normalization removes the rest
+    top = max(log_scales)
+    for (left, right), scale in zip(pairs, log_scales):
+        rho[left, right] *= math.exp(scale - top)
     state = FockDensityMatrix(
         rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRegime, SingularSystem
-from .model import Bond, ChainSpec, ModeParams, build_rate_matrix
+from .model import Bond, ChainSpec, ModeParams, _canonical_bond, build_rate_matrix
 
 __all__ = [
     "SteadyState",
@@ -68,10 +68,12 @@ class AttachedModeSpec:
     n_th: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.n_th is not None and self.n_th < 0:
-            raise ValueError("n_th must be >= 0")
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if self.n_th is not None and not 0 <= self.n_th < math.inf:
+            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
 
 
 def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,
@@ -189,7 +191,7 @@ def closed_form_two_mode(
         raise ValueError("both dissipation rates must be positive")
     two_mode = ChainSpec(
         modes=(ModeParams(kappa_1, n_th), ModeParams(kappa_2, n_th)),
-        bonds=(Bond(coupling * math.exp(asymmetry), coupling * math.exp(-asymmetry)),),
+        bonds=(_canonical_bond(coupling, asymmetry),),
         reference_coupling=coupling,
     )
     g = build_rate_matrix(two_mode)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from nhcool import oracle
-from nhcool.cli import main
+from nhcool.cli import build_parser, main
 
 LN2 = math.log(2.0)
 
@@ -239,7 +240,9 @@ class TestExitCodesAndDeterminism:
         assert main(["steady", "--n-modes", "2", "--kappa", "-1",
                      "--output", str(tmp_path / "y.csv")]) == 2
 
-    @pytest.mark.parametrize("command,key", [("steady", "kapa"), ("attached", "jobs")])
+    # a config file describes the computation: its output path is not a config key
+    @pytest.mark.parametrize("command,key", [("steady", "kapa"), ("attached", "jobs"),
+                                             ("steady", "output")])
     def test_unknown_config_key_is_usage_error(self, tmp_path, command, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"n_modes": 2, key: 4}))
@@ -281,3 +284,178 @@ class TestExitCodesAndDeterminism:
         from nhcool import make_uniform_chain, solve_steady_chain
         ss = solve_steady_chain(make_uniform_chain(2, 1.0, LN2, 0.01, 1.0))
         assert rows[:, 1].tolist() == ss.occupations.tolist()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("flag,value", [
+        ("--kappa", "nan"), ("--A", "inf"), ("--n-th", "nan"), ("--n-th", "inf"),
+    ])
+    def test_steady_rejects_non_finite(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["steady", "--n-modes", "3", flag, value, "--output", str(out)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-A", "--ea-min", "nan", "--ea-count", "2"],
+        ["rabi", "--periods", "nan", "--grid", "2"],
+    ])
+    def test_grid_flags_reject_non_finite(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# --- the CLI surface ----------------------------------------------------------
+
+def _declared_flags():
+    """Every (command, flag) pair the parser declares, but --config and --output."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, p in sub.choices.items()
+        for action in p._actions
+        if action.option_strings and action.dest not in ("help", "config", "output")
+    ]
+
+
+# Small runs of each command; a flag is live when setting it changes the CSV or
+# the exit status of these.  steady attaches a mode so that --kappa0 is read,
+# and oracle passes its first gate so that --dyn-rel-dev is reached.
+LIVENESS_BASE = {
+    "rabi": ["--grid", "5"],
+    "sweep-A": ["--ea-count", "3"],
+    "chain-profile": ["--sizes", "3"],
+    "scaling": ["--n-max", "4", "--kappas", "0.01"],
+    "attached": ["--n-modes", "3", "--kappa0-count", "2", "--t0-count", "2"],
+    "oracle": ["--cutoff", "3", "--max-rel-dev", "10"],
+    "steady": ["--n-modes", "3", "--t0", "1"],
+}
+
+# A valid non-default value for every declared flag.
+LIVENESS_VALUES = {
+    ("rabi", "--n-modes"): "3", ("rabi", "--t"): "2", ("rabi", "--A"): "0.5",
+    ("rabi", "--grid"): "6", ("rabi", "--periods"): "1", ("rabi", "--start-site"): "2",
+    ("sweep-A", "--t"): "2", ("sweep-A", "--kappa"): "0.02", ("sweep-A", "--n-th"): "2",
+    ("sweep-A", "--ea-min"): "1.5", ("sweep-A", "--ea-max"): "4", ("sweep-A", "--ea-count"): "4",
+    ("chain-profile", "--t"): "2", ("chain-profile", "--A"): "0.5",
+    ("chain-profile", "--kappa"): "0.02", ("chain-profile", "--n-th"): "2",
+    ("chain-profile", "--sizes"): "4",
+    ("scaling", "--t"): "2", ("scaling", "--A"): "0.5", ("scaling", "--n-th"): "2",
+    ("scaling", "--n-min"): "3", ("scaling", "--n-max"): "5", ("scaling", "--kappas"): "0.02",
+    ("attached", "--n-modes"): "4", ("attached", "--t"): "2", ("attached", "--A"): "0.5",
+    ("attached", "--kappa"): "0.02", ("attached", "--n-th"): "2",
+    ("attached", "--kappa0-min"): "1e-3", ("attached", "--kappa0-max"): "0.5",
+    ("attached", "--kappa0-count"): "3", ("attached", "--t0-min"): "0.1",
+    ("attached", "--t0-max"): "1.5", ("attached", "--t0-count"): "3",
+    ("oracle", "--n-modes"): "3", ("oracle", "--t"): "2", ("oracle", "--A"): "0.5",
+    ("oracle", "--kappa"): "0.02", ("oracle", "--n-th"): "0.5", ("oracle", "--cutoff"): "4",
+    ("oracle", "--tol"): "1e-30", ("oracle", "--max-rel-dev"): "1e-6",
+    ("oracle", "--dyn-rel-dev"): "1e-30",
+    ("steady", "--n-modes"): "4", ("steady", "--t"): "2", ("steady", "--A"): "0.5",
+    ("steady", "--kappa"): "0.02", ("steady", "--n-th"): "2", ("steady", "--t0"): "0.5",
+    ("steady", "--kappa0"): "0.02",
+}
+
+REMOVED_FLAGS = [
+    ("rabi", "--kappa"), ("rabi", "--n-th"), ("rabi", "--tol"),
+    ("sweep-A", "--n-modes"), ("sweep-A", "--A"), ("sweep-A", "--tol"),
+    ("chain-profile", "--n-modes"), ("chain-profile", "--tol"),
+    ("scaling", "--n-modes"), ("scaling", "--kappa"), ("scaling", "--tol"),
+    ("attached", "--tol"), ("steady", "--tol"),
+]
+
+
+def _run(tmp_path, name, argv):
+    """Exit status and CSV bytes (None when none was written) of one call."""
+    out = tmp_path / f"{name}.csv"
+    code = main(argv + ["--output", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+class TestCliSurface:
+    def test_every_declared_flag_has_a_liveness_value(self):
+        assert sorted(_declared_flags()) == sorted(LIVENESS_VALUES)
+        assert len(LIVENESS_VALUES) == 50
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    @pytest.mark.parametrize("command,flag", _declared_flags())
+    def test_flag_is_live(self, tmp_path, command, flag):
+        base = [command] + LIVENESS_BASE[command]
+        before = _run(tmp_path, "base", base)
+        after = _run(tmp_path, "flag", base + [flag, LIVENESS_VALUES[command, flag]])
+        assert before != after
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_removed_flag_is_usage_error(self, tmp_path, command, flag):
+        # no prefix matching either: scaling's --kappa must not bind to --kappas
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, "1", "--output", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command,argv", [
+        ("attached", ["--kappa0-count", "2", "--t0-count", "2"]),
+        ("chain-profile", ["--sizes", "3,5"]),
+        ("scaling", ["--n-min", "3", "--n-max", "5", "--kappas", "0.01"]),
+        ("rabi", ["--n-modes", "3", "--grid", "5"]),
+        ("steady", ["--n-modes", "3"]),
+    ])
+    def test_bond_overrides_reach_every_chain(self, tmp_path, command, argv):
+        uniform = tmp_path / "uniform.json"
+        bonds = tmp_path / "bonds.json"
+        uniform.write_text(json.dumps({"n_modes": 4, "t": 1.0, "A": LN2}))
+        bonds.write_text(json.dumps({"n_modes": 4, "t": 1.0, "A": LN2,
+                                     "bonds": [{"index": 1, "t": 0.5, "A": 0.0}]}))
+        plain = _run(tmp_path, "u", [command, "--config", str(uniform)] + argv)
+        overridden = _run(tmp_path, "b", [command, "--config", str(bonds)] + argv)
+        assert plain[0] == overridden[0] == 0
+        assert plain[1] != overridden[1]
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    @pytest.mark.parametrize("command", ["rabi", "chain-profile", "scaling", "attached",
+                                         "oracle", "steady"])
+    def test_out_of_range_bond_index_is_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bonds.json"
+        cfg.write_text(json.dumps({"bonds": [{"index": 200, "t": 0.5}]}))
+        code, csv = _run(tmp_path, "x", [command, "--config", str(cfg)])
+        assert code == 2
+        assert csv is None
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("steady", "n_modes", "x"), ("oracle", "cutoff", 2.5), ("chain-profile", "sizes", "3,y"),
+    ])
+    def test_unparseable_config_value_is_usage_error(self, tmp_path, capsys, command, key,
+                                                     value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", str(cfg), "--output", str(out)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage:")
+        assert "--" + key.replace("_", "-") in stderr
+        assert not out.exists()
+
+    def test_shared_keys_without_a_flag_are_ignored(self, tmp_path):
+        # one file serves every command: rabi reads no kappa, n_th or tol
+        shared = tmp_path / "shared.json"
+        shared.write_text(json.dumps({"t": 1.0, "A": LN2, "kappa": 0.05, "n_th": 0.1,
+                                      "tol": 1e-3, "cutoff": 3}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"t": 1.0, "A": LN2}))
+        assert (_run(tmp_path, "a", ["rabi", "--grid", "5", "--config", str(shared)])
+                == _run(tmp_path, "b", ["rabi", "--grid", "5", "--config", str(plain)]))
+
+    def test_config_values_round_trip_exactly(self, tmp_path):
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps({"n_modes": 3, "t": 0.1 + 0.2, "A": LN2 / 3,
+                                   "kappa": 1e-5 / 3, "n_th": 2 / 3}))
+        flags = ["--n-modes", "3", "--t", repr(0.1 + 0.2), "--A", repr(LN2 / 3),
+                 "--kappa", repr(1e-5 / 3), "--n-th", repr(2 / 3)]
+        assert (_run(tmp_path, "a", ["steady", "--config", str(cfg)])
+                == _run(tmp_path, "b", ["steady"] + flags))

@@ -81,6 +81,12 @@ class TestSingleExcitation:
         with pytest.raises(ValueError):
             single_excitation_trace(spec, 0, np.array([0.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            single_excitation_trace(spec, 0, np.array([0.0, bad]))
+
 
 class TestMomentEquationsTwoModeReduction:
     def test_term_by_term_against_literal_equations(self):
@@ -243,8 +249,8 @@ class TestEvolveCovariance:
                 want = np.array([complex(v) for v in vec[:9]]).reshape(3, 3)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
             decay = np.exp(-0.5 * (kap[0] + kap[2]) * tau)
-            assert got[0, 2] == pytest.approx(cov0[0, 2] * decay, rel=1e-14)
-            assert got[2, 0] == pytest.approx(cov0[2, 0] * decay, rel=1e-14)
+            assert got[0, 2] == pytest.approx(cov0[0, 2] * decay, rel=1e-14, abs=0)
+            assert got[2, 0] == pytest.approx(cov0[2, 0] * decay, rel=1e-14, abs=0)
 
 
 class TestSteadyFromDynamics:

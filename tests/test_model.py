@@ -83,6 +83,25 @@ class TestConstructors:
         with pytest.raises(ValueError):
             ModeParams(0.1, -1.0)
 
+    @pytest.mark.parametrize("kappa,n_th", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf),
+    ])
+    def test_mode_params_rejects_non_finite(self, kappa, n_th):
+        with pytest.raises(ValueError, match="finite"):
+            ModeParams(kappa, n_th)
+
+    @pytest.mark.parametrize("coupling,asymmetry", [
+        (math.nan, LN2), (math.inf, LN2), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+        (1.0, 1000.0),  # exp(A) overflows a double
+    ])
+    def test_constructors_reject_non_finite_bonds(self, coupling, asymmetry):
+        with pytest.raises(ValueError):
+            make_uniform_chain(3, coupling, asymmetry, 0.01, 1.0)
+        with pytest.raises(ValueError):
+            make_alternating_chain(3, 1.0, LN2, coupling, asymmetry, 0.01, 1.0)
+        with pytest.raises(ValueError):
+            make_alternating_chain(3, coupling, asymmetry, 1.0, LN2, 0.01, 1.0)
+
 
 class TestHoppingMatrix:
     def test_two_mode_canonical(self):
@@ -213,6 +232,24 @@ class TestConfigRoundTrip:
     def test_override_index_out_of_range(self):
         with pytest.raises(ValueError):
             chain_from_config({"n_modes": 2, "bonds": [{"index": 5, "t": 1.0}]})
+
+    @pytest.mark.parametrize("override", [
+        {"index": 0, "t": math.nan}, {"index": 0, "t": math.inf},
+        {"index": 1, "A": math.nan}, {"index": 1, "A": -math.inf},
+    ])
+    def test_override_rejects_non_finite(self, override):
+        with pytest.raises(ValueError):
+            chain_from_config({"n_modes": 3, "t": 1.0, "A": LN2, "bonds": [override]})
+
+    @pytest.mark.parametrize("bonds", [
+        [{"index": 0, "a": 0.0}],  # misspelt key: the bond would silently stay unchanged
+        [{"t": 0.5}],
+        [[0, 0.5, 0.0]],
+        {"index": 0, "t": 0.5},
+    ])
+    def test_malformed_overrides_are_rejected(self, bonds):
+        with pytest.raises(ValueError):
+            chain_from_config({"n_modes": 3, "bonds": bonds})
 
     def test_complex_bond_does_not_serialize(self):
         spec = ChainSpec(

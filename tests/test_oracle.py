@@ -235,6 +235,17 @@ class TestEvolveMasterEquation:
         assert state.trace_error() <= 1e-15
         assert state.occupations() == pytest.approx(oracle_steady(spec, 5), rel=1e-12, abs=0)
 
+    # cutoff 3 truncates the chain; the warning is expected here
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    @pytest.mark.parametrize("tau", [2e4, 1e5])
+    def test_growth_past_double_range_stays_finite(self, tau):
+        # three modes grow like exp(lambda_1 tau) with lambda_1 tau past 709:
+        # a single expm of L0 tau overflows to nan here
+        spec = make_uniform_chain(3, 1.0, LN2, 0.05, 0.1)
+        state = evolve_master_equation(spec, thermal_state(spec, 3), tau)
+        assert np.all(np.isfinite(state.rho))
+        assert state.occupations() == pytest.approx(oracle_steady(spec, 3), rel=1e-12, abs=0)
+
     def test_rejects_negative_time(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
         with pytest.raises(ValueError):

@@ -96,6 +96,11 @@ class TestClosedFormTwoMode:
         with pytest.raises(ValueError):
             closed_form_two_mode(1.0, 0.3, 0.0, 0.01, 1.0)
 
+    @pytest.mark.parametrize("coupling,asymmetry", [(1.0, math.nan), (1.0, math.inf), (0.0, 0.3)])
+    def test_rejects_bad_bond(self, coupling, asymmetry):
+        with pytest.raises(ValueError):
+            closed_form_two_mode(coupling, asymmetry, 0.01, 0.01, 1.0)
+
 
 class TestSolveSteadyChain:
     def test_matches_closed_form_at_two_modes(self):
@@ -131,7 +136,7 @@ class TestSolveSteadyChain:
         rates = build_rate_matrix(spec).rates
         want = exact_rational_solve(rates, spec.kappa_vector(), spec.n_th_vector())
         got = solve_steady_chain(spec).occupations
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_occupations_never_negative(self):
         rng = np.random.default_rng(11)
@@ -222,7 +227,7 @@ class TestSolveSteadyRates:
         n_th = rng.uniform(0.0, 1.5, n)
         want = exact_rational_solve(g, kappa, n_th)
         got = solve_steady_rates(g, kappa, n_th).occupations
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -369,6 +374,16 @@ class TestAttachedMode:
             spec, AttachedModeSpec(coupling=0.0, kappa=0.02, n_th=0.25)
         )
         assert ss.occupations[0] == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(coupling=math.nan, kappa=0.01), dict(coupling=math.inf, kappa=0.01),
+        dict(coupling=1.0, kappa=math.nan), dict(coupling=1.0, kappa=math.inf),
+        dict(coupling=1.0, kappa=0.01, n_th=math.nan),
+        dict(coupling=1.0, kappa=0.01, n_th=math.inf),
+    ])
+    def test_spec_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            AttachedModeSpec(**kwargs)
 
     def test_estimate_rejects_fully_decoupled(self):
         with pytest.raises(ValueError):

@@ -229,7 +229,8 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
     DivergentRate
         If a bond with nonzero amplitude joins two modes without dissipation.
     ValueError
-        If a (necessarily non-canonical) bond produces a negative rate.
+        If a bond produces a rate that is not finite (``t**2 exp(2 A)``
+        overflows), or a (necessarily non-canonical) bond a negative rate.
     """
     hop = build_hopping_matrix(spec)
     kappa = spec.kappa_vector()
@@ -237,15 +238,21 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
     ksum = np.where((hop.fwd != 0) | (hop.bwd != 0), kappa[:-1] + kappa[1:], 1.0)
     cross = (hop.fwd * hop.bwd).real
     # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         fwd, bwd = 2.0 * (np.float_power(np.abs([hop.fwd, hop.bwd]), 2) + cross) / ksum
-    bad = np.flatnonzero((ksum == 0.0) | (fwd < 0) | (bwd < 0))
+    finite = np.isfinite(fwd) & np.isfinite(bwd)
+    bad = np.flatnonzero((ksum == 0.0) | ~finite | (fwd < 0) | (bwd < 0))
     if bad.size:
         k = bad[0]
         if ksum[k] == 0.0:
             raise DivergentRate(
                 f"bond {k} couples modes {k} and {k + 1} but kappa_{k} + "
                 f"kappa_{k + 1} = 0; the transition rate diverges"
+            )
+        if not finite[k]:
+            raise ValueError(
+                f"bond {k} produces a transition rate that is not finite; "
+                f"2 (|t|^2 + Re(t_fwd t_bwd)) / (kappa_{k} + kappa_{k + 1}) overflows"
             )
         raise ValueError(
             f"bond {k} produces a negative transition rate; the rate "

@@ -306,6 +306,19 @@ class TestNonFiniteInputs:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["steady", "--n-modes", "3", "--A", "400"],
+        ["chain-profile", "--sizes", "3", "--A", "400"],
+        ["sweep-A", "--ea-min", "1e200", "--ea-max", "1e200", "--ea-count", "1"],
+    ])
+    def test_overflowing_rates_are_rejected(self, tmp_path, capsys, argv):
+        # finite amplitudes whose rate t^2 e^{2A} / kappa overflows used to
+        # give nan rows and exit 0
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert "bond 0 produces a transition rate that is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # --- the CLI surface ----------------------------------------------------------
 

@@ -21,12 +21,12 @@ SCIPY_FREE = [
     ["attached", "--kappa0-count", "3", "--t0-count", "3"],
     ["sweep-A"],
     ["rabi"],
+    ["chain-profile"],
+    ["scaling", "--n-max", "5"],
 ]
 
 # Commands whose deferred scipy imports must resolve on first use.
 SCIPY_USING = [
-    ["chain-profile"],
-    ["scaling", "--n-max", "5"],
     ["oracle", "--max-rel-dev", "10"],
 ]
 
@@ -55,14 +55,13 @@ print(json.dumps(report))
 _DEFERRED_SCRIPT = _PRELUDE + """
 import numpy as np
 from nhcool import (
-    build_hopping_matrix, covariance_rhs, diagonalize, evolve_covariance,
+    covariance_rhs, evolve_covariance,
     evolve_master_equation, make_uniform_chain, oracle_steady, steady_from_dynamics,
     thermal_state,
 )
 spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
 pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
 report = {
-    "diagonalize": diagonalize(build_hopping_matrix(spec)).eigenvalues.tolist(),
     "steady_from_dynamics": steady_from_dynamics(spec).occupations.tolist(),
     "covariance_rhs": covariance_rhs(spec, np.eye(3)).real.diagonal().tolist(),
     "oracle_steady": oracle_steady(pair, 3).tolist(),
@@ -75,6 +74,19 @@ report = {
 print(json.dumps(report))
 """
 
+_SPECTRAL_SCRIPT = _PRELUDE + """
+from nhcool import (
+    build_hopping_matrix, diagonalize, gauge_stripped_envelopes, localization_profile,
+    make_uniform_chain, spectral_occupations,
+)
+report = {"occupations": [], "scipy": []}
+for n in (1, 2, 7, 40):
+    dec = diagonalize(build_hopping_matrix(make_uniform_chain(n, 1.0, 0.5, 0.0, 1.0)))
+    report["occupations"].append(spectral_occupations(dec, 1.0).tolist())
+    localization_profile(dec), gauge_stripped_envelopes(dec), dec.right_eigenvectors
+report["scipy"] = scipy_modules()
+print(json.dumps(report))
+"""
 
 _ORACLE_SCRIPT = _PRELUDE + """
 from nhcool import evolve_master_equation, make_uniform_chain, oracle_steady, thermal_state
@@ -110,9 +122,15 @@ def test_package_and_numpy_only_commands_load_no_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_FREE)
 
 
+def test_spectral_layer_loads_no_scipy(tmp_path):
+    # the eigensolve is numpy's SVD; no layer of the spectral path needs scipy
+    report = _run_fresh(_SPECTRAL_SCRIPT, [], tmp_path)
+    assert [len(occ) for occ in report["occupations"]] == [1, 2, 7, 40]
+    assert report["scipy"] == []
+
+
 def test_deferred_scipy_imports_resolve(tmp_path):
     report = _run_fresh(_DEFERRED_SCRIPT, SCIPY_USING, tmp_path)
-    assert len(report["diagonalize"]) == 3
     assert len(report["steady_from_dynamics"]) == 3
     assert len(report["covariance_rhs"]) == 3
     assert len(report["oracle_steady"]) == 2

@@ -191,6 +191,17 @@ class TestRateMatrix:
         with pytest.raises(ValueError, match="bond 1 produces a negative"):
             build_rate_matrix(spec)
 
+    @pytest.mark.parametrize("bonds,kappa,k", [
+        # t^2 e^{2A} overflows on the second bond
+        ((Bond(1.0, 1.0), Bond(math.exp(400.0), math.exp(-400.0))), 0.01, 1),
+        # finite amplitudes, but the division by kappa_i + kappa_j overflows
+        ((Bond(1e150, 1e-150), Bond(1.0, 1.0)), 1e-20, 0),
+    ])
+    def test_non_finite_rate_is_rejected(self, bonds, kappa, k):
+        spec = ChainSpec(modes=(ModeParams(kappa, 1.0),) * 3, bonds=bonds)
+        with pytest.raises(ValueError, match=f"^bond {k} produces a transition rate that is not finite"):
+            build_rate_matrix(spec)
+
     def test_zero_bond_with_zero_kappa_is_fine(self):
         spec = ChainSpec(
             modes=(ModeParams(0.0, 1.0), ModeParams(0.0, 1.0)),

@@ -101,8 +101,17 @@ class TestClosedFormTwoMode:
         with pytest.raises(ValueError):
             closed_form_two_mode(coupling, asymmetry, 0.01, 0.01, 1.0)
 
+    def test_rejects_overflowing_rate(self):
+        # e^A = 1e200: the amplitudes are finite, t^2 e^{2A} is not
+        with pytest.raises(ValueError, match="^bond 0 produces a transition rate that is not finite"):
+            closed_form_two_mode(1.0, math.log(1e200), 0.01, 0.01, 1.0)
+
 
 class TestSolveSteadyChain:
+    def test_rejects_overflowing_rate(self):
+        with pytest.raises(ValueError, match="^bond 0 produces a transition rate that is not finite"):
+            solve_steady_chain(make_uniform_chain(3, 1.0, 400.0, 0.01, 1.0))
+
     def test_matches_closed_form_at_two_modes(self):
         ss = solve_steady_chain(make_uniform_chain(2, 1.0, LN2, 0.01, 1.0))
         n1, n2 = closed_form_two_mode(1.0, LN2, 0.01, 0.01, 1.0)

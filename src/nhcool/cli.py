@@ -93,7 +93,7 @@ def cmd_rabi(args) -> int:
         raise ValueError("grid must be >= 1")
     if not 1 <= args.start_site <= spec.n_modes:  # sites are 1-based here
         raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {args.start_site}")
-    tau = np.linspace(0.0, args.periods * math.pi / spec.reference_coupling, args.grid)
+    tau = np.linspace(0.0, args.periods * math.pi / args.t, args.grid)
     traj = dynamics.single_excitation_trace(spec, args.start_site - 1, tau)
     header = ["tau"] + [f"n_{i + 1}" for i in range(spec.n_modes)]
     rows = [(tau[k], *traj.occupations[k]) for k in range(len(tau))]

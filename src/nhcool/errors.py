@@ -1,5 +1,11 @@
 """Exception and warning types shared across the solver layers."""
 
+__all__ = [
+    "CoolingError", "DivergentRate", "NotGaugeReducible", "SingularBond",
+    "SingularSystem", "InvalidRegime", "ToleranceNotMet",
+    "DimensionTooLarge", "TruncationWarning",
+]
+
 
 class CoolingError(Exception):
     """Base class for all nhcool solver errors."""

@@ -13,8 +13,8 @@ Conventions used throughout the package:
   t_bwd``, so a single-excitation amplitude vector evolves under
   ``i dc/dtau = h c`` and the forward amplitude transports excitations toward
   higher site index;
-* energies and rates are measured in units of the reference coupling, time in
-  units of its inverse;
+* energies and rates are measured in units of a reference coupling that the
+  caller picks, time in units of its inverse;
 * the rotating frame removes all on-site energies, so ``h`` has zero diagonal.
 """
 
@@ -74,13 +74,12 @@ class ChainSpec:
     """Full physical description of an open-boundary chain.
 
     ``bonds`` must have exactly one entry fewer than ``modes``; the list
-    simply ending encodes the open boundary.  ``reference_coupling`` is the
-    energy unit and is used only for bookkeeping.
+    simply ending encodes the open boundary.  A chain carries no energy unit:
+    amplitudes and rates are in the caller's unit.
     """
 
     modes: tuple[ModeParams, ...]
     bonds: tuple[Bond, ...]
-    reference_coupling: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.modes) < 1:
@@ -90,8 +89,6 @@ class ChainSpec:
                 f"open chain with {len(self.modes)} modes needs "
                 f"{len(self.modes) - 1} bonds, got {len(self.bonds)}"
             )
-        if not 0 < self.reference_coupling < math.inf:
-            raise ValueError("reference_coupling must be finite and positive")
 
     @property
     def n_modes(self) -> int:
@@ -148,11 +145,6 @@ def _canonical_bond(coupling: float, asymmetry: float) -> Bond:
     return Bond(coupling * math.exp(asymmetry), coupling * math.exp(-asymmetry))
 
 
-def _check_n_modes(n_modes: int) -> None:
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-
-
 def make_uniform_chain(
     n_modes: int,
     coupling: float = 1.0,
@@ -167,17 +159,15 @@ def make_uniform_chain(
     n_modes : int
         Number of modes, at least 1.
     coupling : float
-        Geometric-mean hopping amplitude ``t`` (positive); also the energy
-        unit of the returned chain.
+        Geometric-mean hopping amplitude ``t`` (positive).
     asymmetry : float
         Real asymmetry exponent; each bond carries ``t * exp(+-asymmetry)``.
     kappa, n_th : float
         Dissipation rate and bath occupation, identical for every mode.
     """
-    _check_n_modes(n_modes)
     modes = (ModeParams(kappa, n_th),) * n_modes
     bonds = (_canonical_bond(coupling, asymmetry),) * (n_modes - 1)
-    return ChainSpec(modes=modes, bonds=bonds, reference_coupling=coupling)
+    return ChainSpec(modes=modes, bonds=bonds)
 
 
 def make_alternating_chain(
@@ -195,12 +185,11 @@ def make_alternating_chain(
     the bonds in between use ``(coupling_even, asymmetry_even)``.  With equal
     parameters this reduces exactly to :func:`make_uniform_chain`.
     """
-    _check_n_modes(n_modes)
     odd = _canonical_bond(coupling_odd, asymmetry_odd)
     even = _canonical_bond(coupling_even, asymmetry_even)
     bonds = tuple(odd if k % 2 == 0 else even for k in range(n_modes - 1))
     modes = (ModeParams(kappa, n_th),) * n_modes
-    return ChainSpec(modes=modes, bonds=bonds, reference_coupling=coupling_odd)
+    return ChainSpec(modes=modes, bonds=bonds)
 
 
 def build_hopping_matrix(spec: ChainSpec) -> HoppingMatrix:
@@ -292,10 +281,8 @@ def chain_to_config(spec: ChainSpec) -> dict:
         "kappa": spec.modes[0].kappa,
         "n_th": spec.modes[0].n_th,
     }
-    if spec.bonds:
-        base_t, base_a = _bond_to_t_a(spec.bonds[0])
-    else:
-        base_t, base_a = spec.reference_coupling, 0.0
+    # a single mode has no bond; t and A then take chain_from_config's defaults
+    base_t, base_a = _bond_to_t_a(spec.bonds[0]) if spec.bonds else (1.0, 0.0)
     config["t"] = base_t
     config["A"] = base_a
     overrides = []
@@ -330,6 +317,4 @@ def chain_from_config(config: dict) -> ChainSpec:
         if not 0 <= k < len(bonds):
             raise ValueError(f"bond override index {k} out of range")
         bonds[k] = _canonical_bond(float(entry.get("t", t)), float(entry.get("A", a)))
-    return ChainSpec(
-        modes=spec.modes, bonds=tuple(bonds), reference_coupling=spec.reference_coupling
-    )
+    return ChainSpec(modes=spec.modes, bonds=tuple(bonds))

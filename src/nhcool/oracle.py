@@ -297,9 +297,11 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     ``rho`` diagonal in total boson number, normalized to unit trace.  The
     block's eigenvalues (no vectors) locate the leading one, ``lambda_1``;
     two steps of inverse iteration with one LU factorization of
-    ``L0 - Re(lambda_1)``, started from the thermal state and normalized to
-    unit trace after each step, give its eigenvector to rounding.  ``L0``
-    maps the block into itself, so the residual
+    ``L0 - Re(lambda_1) - eps max|lambda|``, started from the thermal state
+    and normalized to unit trace after each step, give its eigenvector to
+    rounding; one rounding step past ``lambda_1``, the shift misses an exact
+    ``lambda_1`` (0 at ``n_th = 0``) yet stays far inside the checked gap.
+    ``L0`` maps the block into itself, so the residual
     ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is evaluated on the same block.
 
     Raises
@@ -313,7 +315,7 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     ToleranceNotMet
         If the max-norm of ``drho/dtau`` at the result exceeds ``tol``.
     """
-    from scipy.linalg import LinAlgWarning, eigvals, lu_factor, lu_solve
+    from scipy.linalg import eigvals, lu_factor, lu_solve
 
     kappa = spec.kappa_vector()
     if not np.all(kappa > 0):
@@ -332,20 +334,9 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
             f"(gap {gap:.3e})"
         )
     diagonal = left == right
-
-    def factor(shift: float):
-        shifted = liouvillian.copy()
-        shifted[np.diag_indices_from(shifted)] -= shift
-        with warnings.catch_warnings():
-            # an exactly zero pivot is checked for below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            return lu_factor(shifted, overwrite_a=True, check_finite=False)
-
-    lu = factor(lead.real)
-    if not np.all(lu[0].diagonal()):
-        # the shift hit lambda_1 exactly; one rounding step away it is still
-        # far nearer to lambda_1 than to the rest of the spectrum (gap > floor)
-        lu = factor(lead.real + np.finfo(float).eps * scale)
+    shifted = liouvillian.copy()
+    shifted[np.diag_indices_from(shifted)] -= lead.real + np.finfo(float).eps * scale
+    lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
     # start from the thermal state: the fixed point sought is the one its flow reaches
     vec = thermal_state(spec, cutoff).rho[left, right]
     with np.errstate(all="ignore"):  # a singular factor gives inf or nan, caught below

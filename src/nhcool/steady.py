@@ -155,14 +155,10 @@ def solve_steady_rates(
     kappa = np.asarray(kappa, dtype=float)
     n_th = np.asarray(n_th, dtype=float)
     n = len(kappa)
-    if g.shape != (n, n):
-        raise ValueError(f"rates must be {n} x {n}, got {g.shape}")
+    if n < 1 or g.shape != (n, n):
+        raise ValueError(f"rates must be {n} x {n} with n >= 1, got {g.shape}")
     if np.any(g < 0) or np.any(kappa < 0) or np.any(n_th < 0):
         raise ValueError("rates, kappa and n_th must all be nonnegative")
-    if not np.any(kappa > 0):
-        raise SingularSystem(
-            "all kappa vanish; the stationary state is not unique"
-        )
     if np.any(np.triu(g, 2)) or np.any(np.tril(g, -2)):
         raise ValueError("rates must couple nearest neighbours only")
     return _solve_bands(np.diag(g, 1), np.diag(g, -1), kappa, n_th)
@@ -192,7 +188,6 @@ def closed_form_two_mode(
     two_mode = ChainSpec(
         modes=(ModeParams(kappa_1, n_th), ModeParams(kappa_2, n_th)),
         bonds=(_canonical_bond(coupling, asymmetry),),
-        reference_coupling=coupling,
     )
     g = build_rate_matrix(two_mode)
     g12, g21 = g.fwd[0], g.bwd[0]
@@ -209,7 +204,9 @@ def plateau_limit(
 
     Returns ``kappa**2 * n_th / (kappa**2 + t_fwd**2 - t_bwd**2)`` with
     ``t_fwd = t exp(A)`` and ``t_bwd = t exp(-A)``; only meaningful for
-    positive asymmetry, where the denominator is positive.
+    positive asymmetry, where the denominator is positive.  Raises
+    ``ValueError`` where ``t**2 exp(2 A)`` is not finite, as
+    :func:`nhcool.model.build_rate_matrix` does for the chain.
     """
     if asymmetry <= 0:
         raise InvalidRegime(
@@ -220,7 +217,12 @@ def plateau_limit(
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
     k2 = kappa * kappa
-    gap = coupling * coupling * (math.exp(2 * asymmetry) - math.exp(-2 * asymmetry))
+    try:
+        gap = coupling * coupling * (math.exp(2 * asymmetry) - math.exp(-2 * asymmetry))
+    except OverflowError:  # math.exp raises where numpy would return inf
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise ValueError(f"t**2 exp(2 A) is not finite at t = {coupling}, A = {asymmetry}")
     return k2 * n_th / (k2 + gap)
 
 
@@ -235,7 +237,6 @@ def solve_with_attached(spec: ChainSpec, attached: AttachedModeSpec) -> SteadySt
     extended = ChainSpec(
         modes=(ModeParams(attached.kappa, n_th0),) + spec.modes,
         bonds=(Bond(attached.coupling, attached.coupling),) + spec.bonds,
-        reference_coupling=spec.reference_coupling,
     )
     return solve_steady_chain(extended)
 

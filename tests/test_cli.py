@@ -42,6 +42,16 @@ class TestRabi:
         assert len(rows) == 1000
         assert rows[-1, 0] == pytest.approx(2.0 * math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("config", [{}, {"n_modes": 3, "bonds": [{"index": 0, "t": 0.5}]}])
+    def test_period_follows_t(self, tmp_path, config):
+        # a bond override does not change the period, which is pi / --t
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "rabi.csv"
+        argv = ["rabi", "--t", "2", "--periods", "1", "--grid", "5", "--config", str(cfg)]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert read_csv(out)[1][-1, 0] == math.pi / 2
+
     def test_symmetric_option(self, tmp_path):
         out = tmp_path / "rabi.csv"
         assert main(["rabi", "--output", str(out), "--A", "0", "--grid", "201"]) == 0
@@ -317,6 +327,13 @@ class TestNonFiniteInputs:
         out = tmp_path / "x.csv"
         assert main([*argv, "--output", str(out)]) == 2
         assert "bond 0 produces a transition rate that is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scaling_plateau_overflow_is_usage_error(self, tmp_path, capsys):
+        # plateau_limit ran before any rate check and raised OverflowError (exit 1)
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--A", "400", "--n-max", "3", "--output", str(out)]) == 2
+        assert "usage error: t**2 exp(2 A) is not finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from nhcool import (
     ModeParams,
     SingularSystem,
     ToleranceNotMet,
+    build_hopping_matrix,
     closed_form_two_mode,
     covariance_rhs,
     evolve_covariance,
@@ -86,6 +87,25 @@ class TestSingleExcitation:
         spec = make_uniform_chain(2, 1.0, LN2, 0.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
             single_excitation_trace(spec, 0, np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("n_modes", [
+        30,
+        # eig's eigenvectors have conditioning ~e^{A N}: the error is 1.0 here
+        pytest.param(60, marks=pytest.mark.xfail(
+            strict=True, reason="eigenvector basis too ill-conditioned at N >= 60")),
+    ])
+    def test_long_chain_matches_expm(self, n_modes):
+        # The expm reference agrees with a 40-digit mpmath.expm to 1.4e-16 at
+        # N = 60 and tau = pi; the trace was 2.8e-10 off at N = 30.
+        from scipy.linalg import expm
+
+        spec = make_uniform_chain(n_modes, 1.0, LN2, 0.0, 1.0)
+        h = build_hopping_matrix(spec).matrix
+        tau = np.linspace(0.0, 2.0 * math.pi, 9)
+        occ = single_excitation_trace(spec, 0, tau).occupations
+        for k, t in enumerate(tau):
+            ref = np.abs(expm(-1j * t * h)[:, 0]) ** 2
+            assert np.abs(occ[k] - ref / ref.sum()).max() <= 1e-8, t
 
 
 class TestMomentEquationsTwoModeReduction:

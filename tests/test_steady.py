@@ -261,6 +261,10 @@ class TestSolveSteadyRates:
         with pytest.raises(ValueError):
             solve_steady_rates(g, np.full(3, 0.1), np.ones(3))
 
+    def test_rejects_empty_system(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            solve_steady_rates(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
     def test_rejects_all_zero_kappa(self):
         g = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(SingularSystem):
@@ -297,6 +301,18 @@ class TestPlateau:
             plateau_limit(1.0, 0.0, 0.01, 1.0)
         with pytest.raises(InvalidRegime):
             plateau_limit(1.0, -0.5, 0.01, 1.0)
+
+    @pytest.mark.parametrize("asymmetry", [354.9, 400.0])
+    def test_overflowing_gap_is_rejected_like_the_rates(self, asymmetry):
+        # exp(2A) overflows past A = 354.89, where math.exp raised OverflowError
+        with pytest.raises(ValueError, match="not finite"):
+            plateau_limit(1.0, asymmetry, 0.01, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            build_rate_matrix(make_uniform_chain(2, 1.0, asymmetry, 0.01, 1.0))
+
+    def test_largest_finite_gap_keeps_the_formula(self):
+        k2, gap = 0.01 * 0.01, math.exp(708.0) - math.exp(-708.0)
+        assert plateau_limit(1.0, 354.0, 0.01, 1.0) == k2 / (k2 + gap)
 
     def test_chain_floor_sits_above_plateau_formula(self):
         # the closed form is a hard-wall approximation and bounds the exact

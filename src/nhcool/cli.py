@@ -102,6 +102,9 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_sweep_a(args) -> int:
+    for flag, ea in (("--ea-min", args.ea_min), ("--ea-max", args.ea_max)):
+        if not ea > 0:  # exp(A) of a real A; also rejects nan
+            raise ValueError(f"{flag} is exp(A) and must be positive, got {ea}")
     rows = [
         (ea, *steady.closed_form_two_mode(args.t, math.log(ea), args.kappa, args.kappa, args.n_th))
         for ea in np.linspace(args.ea_min, args.ea_max, args.ea_count)

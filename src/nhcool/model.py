@@ -37,7 +37,6 @@ __all__ = [
     "make_alternating_chain",
     "build_hopping_matrix",
     "build_rate_matrix",
-    "chain_to_config",
     "chain_from_config",
 ]
 
@@ -106,12 +105,11 @@ class HoppingMatrix:
     """Tridiagonal single-particle hopping matrix, stored as its two bands.
 
     ``fwd[k] = h[k + 1, k] = t_fwd`` and ``bwd[k] = h[k, k + 1] = t_bwd`` of
-    bond ``k``; the diagonal is zero.
+    bond ``k``; the diagonal is zero.  The bands are complex.
     """
 
     fwd: np.ndarray
     bwd: np.ndarray
-    is_hermitian: bool
 
     @property
     def matrix(self) -> np.ndarray:
@@ -193,16 +191,10 @@ def make_alternating_chain(
 
 
 def build_hopping_matrix(spec: ChainSpec) -> HoppingMatrix:
-    """Assemble the tridiagonal single-particle matrix of a chain.
-
-    Returns the matrix together with a flag telling whether it is exactly
-    Hermitian (true precisely when every bond satisfies
-    ``t_bwd == conj(t_fwd)``).
-    """
+    """The bands of a chain's tridiagonal single-particle matrix, one entry per bond."""
     fwd = np.array([bond.t_fwd for bond in spec.bonds], dtype=complex)
     bwd = np.array([bond.t_bwd for bond in spec.bonds], dtype=complex)
-    hermitian = bool(np.all(bwd == np.conj(fwd)))
-    return HoppingMatrix(fwd=fwd, bwd=bwd, is_hermitian=hermitian)
+    return HoppingMatrix(fwd=fwd, bwd=bwd)
 
 
 def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
@@ -225,9 +217,9 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
     kappa = spec.kappa_vector()
     # a bond with both amplitudes zero has zero rates, whatever its kappas
     ksum = np.where((hop.fwd != 0) | (hop.bwd != 0), kappa[:-1] + kappa[1:], 1.0)
-    cross = (hop.fwd * hop.bwd).real
-    # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cross = (hop.fwd * hop.bwd).real
+        # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
         fwd, bwd = 2.0 * (np.float_power(np.abs([hop.fwd, hop.bwd]), 2) + cross) / ksum
     finite = np.isfinite(fwd) & np.isfinite(bwd)
     bad = np.flatnonzero((ksum == 0.0) | ~finite | (fwd < 0) | (bwd < 0))
@@ -252,47 +244,10 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
 
 # --- configuration mapping -------------------------------------------------
 #
-# A chain serializes to a flat mapping with keys n_modes, t, A, kappa, n_th
+# A chain is read from a flat mapping with keys n_modes, t, A, kappa, n_th
 # and an optional "bonds" list of per-bond overrides, each entry
-# {"index": k, "t": ..., "A": ...}.  Only uniform-bath chains with real
-# canonical bonds are expressible in this schema.
-
-
-def _bond_to_t_a(bond: Bond) -> tuple[float, float]:
-    fwd, bwd = complex(bond.t_fwd), complex(bond.t_bwd)
-    if fwd.imag != 0 or bwd.imag != 0 or fwd.real <= 0 or bwd.real <= 0:
-        raise ValueError("only bonds with positive real amplitudes serialize")
-    t = math.sqrt(fwd.real * bwd.real)
-    return t, 0.5 * math.log(fwd.real / bwd.real)
-
-
-def chain_to_config(spec: ChainSpec) -> dict:
-    """Serialize a chain to the flat configuration mapping.
-
-    Requires uniform per-mode parameters and real positive bond amplitudes;
-    bonds that differ from the first one are emitted as overrides.
-    """
-    kappas = {m.kappa for m in spec.modes}
-    n_ths = {m.n_th for m in spec.modes}
-    if len(kappas) != 1 or len(n_ths) != 1:
-        raise ValueError("only chains with uniform mode parameters serialize")
-    config = {
-        "n_modes": spec.n_modes,
-        "kappa": spec.modes[0].kappa,
-        "n_th": spec.modes[0].n_th,
-    }
-    # a single mode has no bond; t and A then take chain_from_config's defaults
-    base_t, base_a = _bond_to_t_a(spec.bonds[0]) if spec.bonds else (1.0, 0.0)
-    config["t"] = base_t
-    config["A"] = base_a
-    overrides = []
-    for k, bond in enumerate(spec.bonds):
-        t, a = _bond_to_t_a(bond)
-        if t != base_t or a != base_a:
-            overrides.append({"index": k, "t": t, "A": a})
-    if overrides:
-        config["bonds"] = overrides
-    return config
+# {"index": k, "t": ..., "A": ...}.  Every mode shares one bath, and every
+# bond is canonical, t exp(+-A).
 
 
 def chain_from_config(config: dict) -> ChainSpec:

@@ -141,16 +141,21 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
 
     Raises
     ------
+    ValueError
+        If some bond product ``t_fwd * t_bwd`` overflows or is not finite.
     SingularBond
         If some bond product vanishes (the chain disconnects there).
     NotGaugeReducible
         If some bond product is negative or has a nonzero imaginary part.
     """
-    prod = hopping.fwd * hopping.bwd
-    bad = (np.abs(prod.imag) > 1e-12 * np.abs(prod)) | (prod.real <= 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = hopping.fwd * hopping.bwd
+        bad = ~np.isfinite(prod) | (np.abs(prod.imag) > 1e-12 * np.abs(prod)) | (prod.real <= 0)
     if bad.any():
         k = int(np.argmax(bad))
         p = prod[k]
+        if not np.isfinite(p):
+            raise ValueError(f"bond {k}: t_fwd * t_bwd = {p} overflows or is not finite")
         if p == 0:
             raise SingularBond(
                 f"bond {k} has t_fwd * t_bwd = 0; split the chain there"

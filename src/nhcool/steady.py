@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRegime, SingularSystem
-from .model import Bond, ChainSpec, ModeParams, _canonical_bond, build_rate_matrix
+from .model import Bond, ChainSpec, ModeParams, RateMatrix, _canonical_bond, build_rate_matrix
 
 __all__ = [
     "SteadyState",
@@ -120,8 +120,35 @@ def _residual(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
     return float(np.abs(outflow * x - inflow - b).max())
 
 
-def _solve_bands(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
-                 n_th: np.ndarray) -> SteadyState:
+def solve_steady_rates(
+    rates: RateMatrix, kappa: np.ndarray, n_th: np.ndarray
+) -> SteadyState:
+    """Stationary occupations for nonnegative nearest-neighbour rate bands.
+
+    Mode ``k`` passes excitations to mode ``k + 1`` at rate ``rates.fwd[k]``
+    and back at rate ``rates.bwd[k]`` (the bands of
+    :func:`nhcool.model.build_rate_matrix`), and relaxes toward ``n_th[k]``
+    at rate ``kappa[k]``.  For uniform ``kappa`` and ``n_th`` the solution
+    satisfies ``sum_i n_i = n_modes * n_th`` whatever the rates are.
+
+    Raises
+    ------
+    ValueError
+        If the bands do not have one entry fewer than ``kappa`` and ``n_th``,
+        or some rate, ``kappa`` or ``n_th`` is negative or NaN.
+    SingularSystem
+        If no mode carries dissipation, or some modes are disconnected from
+        every bath.
+    """
+    up, down, kappa, n_th = (
+        np.asarray(v, dtype=float) for v in (rates.fwd, rates.bwd, kappa, n_th)
+    )
+    n = kappa.size
+    shapes = (up.shape, down.shape, kappa.shape, n_th.shape)
+    if n < 1 or shapes != ((n - 1,), (n - 1,), (n,), (n,)):
+        raise ValueError(f"need n >= 1 modes and bands of length n - 1, got shapes {shapes}")
+    if not (np.concatenate((up, down, kappa, n_th)) >= 0).all():
+        raise ValueError("rates, kappa and n_th must all be nonnegative")
     injection = kappa * n_th
     # Solve for an injection of order one and scale back: a tiny bath would
     # otherwise push the elimination into subnormal floats, which lose
@@ -132,42 +159,9 @@ def _solve_bands(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
     return SteadyState(occupations=occ, residual=_residual(up, down, kappa, injection, occ))
 
 
-def solve_steady_rates(
-    rates: np.ndarray, kappa: np.ndarray, n_th: np.ndarray
-) -> SteadyState:
-    """Stationary occupations for a nonnegative nearest-neighbour rate matrix.
-
-    Mode ``i`` exchanges excitations with mode ``j`` at rate ``rates[i, j]``
-    and relaxes toward ``n_th[i]`` at rate ``kappa[i]``.  Diagonal entries of
-    ``rates`` are ignored.  For uniform ``kappa`` and ``n_th`` the solution
-    satisfies ``sum_i n_i = n_modes * n_th`` whatever the rates are.
-
-    Raises
-    ------
-    ValueError
-        If ``rates`` has the wrong shape, a negative entry, or a nonzero
-        entry beyond the nearest neighbours.
-    SingularSystem
-        If no mode carries dissipation, or some modes are disconnected from
-        every bath.
-    """
-    g = np.asarray(rates, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    n_th = np.asarray(n_th, dtype=float)
-    n = len(kappa)
-    if n < 1 or g.shape != (n, n):
-        raise ValueError(f"rates must be {n} x {n} with n >= 1, got {g.shape}")
-    if np.any(g < 0) or np.any(kappa < 0) or np.any(n_th < 0):
-        raise ValueError("rates, kappa and n_th must all be nonnegative")
-    if np.any(np.triu(g, 2)) or np.any(np.tril(g, -2)):
-        raise ValueError("rates must couple nearest neighbours only")
-    return _solve_bands(np.diag(g, 1), np.diag(g, -1), kappa, n_th)
-
-
 def solve_steady_chain(spec: ChainSpec) -> SteadyState:
     """Stationary occupations of a chain, from its transition-rate bands."""
-    g = build_rate_matrix(spec)
-    return _solve_bands(g.fwd, g.bwd, spec.kappa_vector(), spec.n_th_vector())
+    return solve_steady_rates(build_rate_matrix(spec), spec.kappa_vector(), spec.n_th_vector())
 
 
 def closed_form_two_mode(

@@ -69,10 +69,7 @@ def test_criterion_03_conservation():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 13))
-        rates = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        rates[idx, idx + 1] = rng.uniform(0.0, 10.0, n - 1)
-        rates[idx + 1, idx] = rng.uniform(0.0, 10.0, n - 1)
+        rates = nh.RateMatrix(rng.uniform(0.0, 10.0, n - 1), rng.uniform(0.0, 10.0, n - 1))
         n_th = float(rng.uniform(0.1, 2.0))
         kappa = float(rng.uniform(1e-4, 0.5))
         total = nh.solve_steady_rates(

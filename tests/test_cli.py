@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from nhcool import oracle
 from nhcool.cli import build_parser, main
 
 LN2 = math.log(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -327,6 +332,37 @@ class TestNonFiniteInputs:
         out = tmp_path / "x.csv"
         assert main([*argv, "--output", str(out)]) == 2
         assert "bond 0 produces a transition rate that is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["steady", "--t", "1e200", "--A", "1"],
+         "bond 0 produces a transition rate that is not finite"),
+        (["scaling", "--t", "1e200", "--A", "1", "--n-max", "3"],
+         "bond 0: t_fwd * t_bwd = (inf+0j) overflows or is not finite"),
+    ])
+    def test_overflowing_amplitude_product_is_one_usage_error(self, tmp_path, argv, message):
+        # a fresh interpreter with the default warning filters, so a numpy
+        # RuntimeWarning would reach stderr instead of being raised
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhcool.cli", *argv, "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith(f"usage error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--ea-min", "0"), ("--ea-min", "-1"), ("--ea-max", "0"), ("--ea-max", "nan"),
+    ])
+    def test_sweep_a_rejects_nonpositive_exp_asymmetry(self, tmp_path, capsys, flag, value):
+        # math.log(e^A) failed with "math domain error", which named no flag
+        out = tmp_path / "x.csv"
+        assert main(["sweep-A", flag, value, "--output", str(out)]) == 2
+        assert f"usage error: {flag} is exp(A) and must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scaling_plateau_overflow_is_usage_error(self, tmp_path, capsys):

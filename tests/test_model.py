@@ -12,7 +12,6 @@ from nhcool import (
     build_hopping_matrix,
     build_rate_matrix,
     chain_from_config,
-    chain_to_config,
     make_alternating_chain,
     make_uniform_chain,
 )
@@ -71,7 +70,8 @@ class TestConstructors:
         spec = make_alternating_chain(3, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0)
         for bond in spec.bonds:
             assert bond.t_fwd == bond.t_bwd
-        assert build_hopping_matrix(spec).is_hermitian
+        h = build_hopping_matrix(spec).matrix
+        assert np.array_equal(h, h.conj().T)
 
     def test_chain_spec_checks_bond_count(self):
         with pytest.raises(ValueError):
@@ -108,14 +108,12 @@ class TestHoppingMatrix:
         spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
         hop = build_hopping_matrix(spec)
         assert hop.matrix == pytest.approx(np.array([[0.0, 0.5], [2.0, 0.0]]), rel=1e-15)
-        assert not hop.is_hermitian
 
     def test_hermitian_limit(self):
         spec = make_uniform_chain(3, 1.0, 0.0, 0.01, 1.0)
         hop = build_hopping_matrix(spec)
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         assert hop.matrix == pytest.approx(expected)
-        assert hop.is_hermitian
         assert np.array_equal(hop.matrix, hop.matrix.conj().T)
 
     def test_three_mode_entries(self):
@@ -126,11 +124,6 @@ class TestHoppingMatrix:
         assert h[0, 1] == pytest.approx(0.5, rel=1e-15)
         assert h[1, 2] == pytest.approx(0.5, rel=1e-15)
         assert np.all(np.diag(h) == 0)
-
-    @given(st.floats(min_value=0.01, max_value=2.0))
-    def test_hermitian_iff_zero_asymmetry(self, asymmetry):
-        spec = make_uniform_chain(3, 1.0, asymmetry, 0.0, 1.0)
-        assert not build_hopping_matrix(spec).is_hermitian
 
 
 class TestRateMatrix:
@@ -202,6 +195,11 @@ class TestRateMatrix:
         with pytest.raises(ValueError, match=f"^bond {k} produces a transition rate that is not finite"):
             build_rate_matrix(spec)
 
+    def test_overflowing_amplitude_product_is_rejected(self):
+        # t_fwd * t_bwd = 1e400 overflowed with a RuntimeWarning before the check
+        with pytest.raises(ValueError, match="^bond 0 produces a transition rate that is not finite"):
+            build_rate_matrix(make_uniform_chain(2, 1e200, 1.0, 0.01, 1.0))
+
     def test_zero_bond_with_zero_kappa_is_fine(self):
         spec = ChainSpec(
             modes=(ModeParams(0.0, 1.0), ModeParams(0.0, 1.0)),
@@ -212,17 +210,10 @@ class TestRateMatrix:
 
 
 class TestConfigRoundTrip:
-    def test_uniform_round_trip(self):
-        spec = make_uniform_chain(5, 1.3, 0.4, 0.02, 0.7)
-        cfg = chain_to_config(spec)
-        assert cfg["n_modes"] == 5
-        assert cfg["t"] == pytest.approx(1.3, rel=1e-12)
-        assert cfg["A"] == pytest.approx(0.4, rel=1e-12)
-        back = chain_from_config(cfg)
-        assert back.modes == spec.modes
-        for b1, b2 in zip(back.bonds, spec.bonds):
-            assert complex(b1.t_fwd) == pytest.approx(complex(b2.t_fwd), rel=1e-12)
-            assert complex(b1.t_bwd) == pytest.approx(complex(b2.t_bwd), rel=1e-12)
+    def test_uniform_config(self):
+        spec = chain_from_config({"n_modes": 5, "t": 1.3, "A": 0.4, "kappa": 0.02, "n_th": 0.7})
+        assert spec.modes == (ModeParams(0.02, 0.7),) * 5
+        assert spec.bonds == (Bond(1.3 * math.exp(0.4), 1.3 * math.exp(-0.4)),) * 4
 
     def test_bond_override(self):
         cfg = {
@@ -237,8 +228,7 @@ class TestConfigRoundTrip:
         assert spec.bonds[0].t_fwd == pytest.approx(2.0, rel=1e-14)
         assert spec.bonds[1].t_fwd == pytest.approx(0.5, rel=1e-14)
         assert spec.bonds[1].t_bwd == pytest.approx(0.5, rel=1e-14)
-        out = chain_to_config(spec)
-        assert out["bonds"] == [{"index": 1, "t": pytest.approx(0.5), "A": pytest.approx(0.0)}]
+        assert spec.bonds[2] == spec.bonds[0]
 
     def test_override_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -261,19 +251,3 @@ class TestConfigRoundTrip:
     def test_malformed_overrides_are_rejected(self, bonds):
         with pytest.raises(ValueError):
             chain_from_config({"n_modes": 3, "bonds": bonds})
-
-    def test_complex_bond_does_not_serialize(self):
-        spec = ChainSpec(
-            modes=(ModeParams(0.1, 1.0), ModeParams(0.1, 1.0)),
-            bonds=(Bond(1.0j, -1.0j),),
-        )
-        with pytest.raises(ValueError):
-            chain_to_config(spec)
-
-    def test_nonuniform_modes_do_not_serialize(self):
-        spec = ChainSpec(
-            modes=(ModeParams(0.1, 1.0), ModeParams(0.2, 1.0)),
-            bonds=(Bond(1.0, 1.0),),
-        )
-        with pytest.raises(ValueError):
-            chain_to_config(spec)

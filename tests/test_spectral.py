@@ -183,6 +183,13 @@ class TestDiagonalize:
         with pytest.raises(error, match=r"^bond 2\b"):
             diagonalize(build_hopping_matrix(spec))
 
+    @pytest.mark.parametrize("coupling", [1e160, 1e200])
+    def test_overflowing_bond_product_rejected(self, coupling):
+        # t_fwd * t_bwd = t**2 is inf; the eigenvalues and occupations were nan
+        spec = make_uniform_chain(3, coupling, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^bond 0: t_fwd \* t_bwd = .* not finite"):
+            diagonalize(build_hopping_matrix(spec))
+
     def test_complex_bond_with_real_positive_product(self):
         # amplitudes may be complex as long as t_fwd * t_bwd > 0
         spec = ChainSpec(

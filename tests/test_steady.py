@@ -12,6 +12,7 @@ from nhcool import (
     DivergentRate,
     InvalidRegime,
     ModeParams,
+    RateMatrix,
     SingularSystem,
     attached_mode_estimate,
     build_hopping_matrix,
@@ -198,15 +199,17 @@ class TestSolveSteadyChain:
             solve_steady_chain(make_uniform_chain(3, 1.0, LN2, 0.0, 1.0))
 
 
+def random_bands(rng, n, high):
+    """Rate bands drawn uniformly from [0, high): the forward band first."""
+    return RateMatrix(rng.uniform(0.0, high, n - 1), rng.uniform(0.0, high, n - 1))
+
+
 class TestSolveSteadyRates:
     def test_conservation_for_random_nearest_neighbor_rates(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
             n = int(rng.integers(2, 10))
-            g = np.zeros((n, n))
-            idx = np.arange(n - 1)
-            g[idx, idx + 1] = rng.uniform(0.0, 10.0, n - 1)
-            g[idx + 1, idx] = rng.uniform(0.0, 10.0, n - 1)
+            g = random_bands(rng, n, 10.0)
             ss = solve_steady_rates(g, np.full(n, 0.03), np.full(n, 0.8))
             assert ss.occupations.sum() == pytest.approx(n * 0.8, rel=1e-10)
 
@@ -214,10 +217,7 @@ class TestSolveSteadyRates:
         # kappa-weighted occupations balance kappa-weighted injections exactly
         rng = np.random.default_rng(3)
         n = 6
-        g = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        g[idx, idx + 1] = rng.uniform(0.0, 5.0, n - 1)
-        g[idx + 1, idx] = rng.uniform(0.0, 5.0, n - 1)
+        g = random_bands(rng, n, 5.0)
         kappa = rng.uniform(0.001, 0.2, n)
         n_th = rng.uniform(0.0, 2.0, n)
         ss = solve_steady_rates(g, kappa, n_th)
@@ -228,13 +228,10 @@ class TestSolveSteadyRates:
     def test_matches_rational_oracle_on_random_rates(self):
         rng = np.random.default_rng(7)
         n = 7
-        g = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        g[idx, idx + 1] = rng.uniform(0.0, 8.0, n - 1)
-        g[idx + 1, idx] = rng.uniform(0.0, 8.0, n - 1)
+        g = random_bands(rng, n, 8.0)
         kappa = rng.uniform(1e-6, 0.1, n)
         n_th = rng.uniform(0.0, 1.5, n)
-        want = exact_rational_solve(g, kappa, n_th)
+        want = exact_rational_solve(g.rates, kappa, n_th)
         got = solve_steady_rates(g, kappa, n_th).occupations
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -242,37 +239,45 @@ class TestSolveSteadyRates:
     @settings(max_examples=25, deadline=None)
     def test_conservation_property(self, n, seed):
         rng = np.random.default_rng(seed)
-        g = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        g[idx, idx + 1] = rng.uniform(0.0, 10.0, n - 1)
-        g[idx + 1, idx] = rng.uniform(0.0, 10.0, n - 1)
+        g = random_bands(rng, n, 10.0)
         ss = solve_steady_rates(g, np.full(n, 0.02), np.full(n, 1.0))
         assert ss.occupations.sum() == pytest.approx(float(n), rel=1e-10)
 
+    def test_chain_solve_is_the_rate_solve_of_its_bands(self):
+        spec = make_uniform_chain(50, 1.0, LN2, 1e-6, 1.0)
+        want = solve_steady_chain(spec)
+        got = solve_steady_rates(build_rate_matrix(spec), spec.kappa_vector(), spec.n_th_vector())
+        assert got.occupations.tobytes() == want.occupations.tobytes()
+        assert got.residual == want.residual
+
     def test_rejects_negative_rates(self):
-        g = np.array([[0.0, -1.0], [1.0, 0.0]])
+        g = RateMatrix(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             solve_steady_rates(g, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
 
-    def test_rejects_rates_beyond_nearest_neighbours(self):
-        g = np.zeros((3, 3))
-        g[0, 1] = g[1, 0] = g[1, 2] = g[2, 1] = 1.0
-        g[2, 0] = 0.5
-        with pytest.raises(ValueError):
-            solve_steady_rates(g, np.full(3, 0.1), np.ones(3))
+    @pytest.mark.parametrize("fwd,bwd,n_th", [
+        ([1.0], [1.0, 2.0], [1.0, 1.0]),  # a band one entry too long
+        ([1.0, 2.0], [1.0, 2.0], [1.0, 1.0]),  # both bands as long as kappa
+        ([], [], [1.0, 1.0]),  # no bond between two modes
+        ([1.0], [1.0], [1.0]),  # n_th one entry short
+        ([1.0], [1.0], [[1.0, 1.0]]),  # n_th of the wrong rank
+    ])
+    def test_rejects_mismatched_lengths(self, fwd, bwd, n_th):
+        g = RateMatrix(np.array(fwd), np.array(bwd))
+        with pytest.raises(ValueError, match="n >= 1"):
+            solve_steady_rates(g, np.array([0.1, 0.1]), np.array(n_th))
 
     def test_rejects_empty_system(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            solve_steady_rates(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+            solve_steady_rates(RateMatrix(np.zeros(0), np.zeros(0)), np.zeros(0), np.zeros(0))
 
     def test_rejects_all_zero_kappa(self):
-        g = np.array([[0.0, 1.0], [2.0, 0.0]])
+        g = RateMatrix(np.array([1.0]), np.array([2.0]))
         with pytest.raises(SingularSystem):
             solve_steady_rates(g, np.zeros(2), np.ones(2))
 
     def test_isolated_bathless_mode_raises(self):
-        g = np.zeros((3, 3))
-        g[0, 1] = g[1, 0] = 1.0
+        g = RateMatrix(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         with pytest.raises(SingularSystem):
             solve_steady_rates(g, np.array([0.1, 0.1, 0.0]), np.ones(3))
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dynamics, oracle, spectral, steady
 from .errors import CoolingError
-from .model import ChainSpec, build_hopping_matrix, chain_from_config
+from .model import ChainSpec, ModeParams, build_hopping_matrix, chain_from_config
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,6 +93,8 @@ def cmd_rabi(args) -> int:
         raise ValueError("grid must be >= 1")
     if not 1 <= args.start_site <= spec.n_modes:  # sites are 1-based here
         raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {args.start_site}")
+    if args.periods < 0:
+        raise ValueError(f"--periods must be >= 0, got {args.periods}")
     tau = np.linspace(0.0, args.periods * math.pi / args.t, args.grid)
     traj = dynamics.single_excitation_trace(spec, args.start_site - 1, tau)
     header = ["tau"] + [f"n_{i + 1}" for i in range(spec.n_modes)]
@@ -149,9 +151,9 @@ def cmd_attached(args) -> int:
     t0_grid = np.linspace(args.t0_min, args.t0_max, args.t0_count)
     rows = []
     for k0 in kappa0_grid:
+        mode = ModeParams(k0, spec.modes[0].n_th)
         for t0 in t0_grid:
-            att = steady.AttachedModeSpec(coupling=t0, kappa=k0)
-            rows.append((k0, t0, steady.solve_with_attached(spec, att).occupations[0]))
+            rows.append((k0, t0, steady.solve_with_attached(spec, mode, t0).occupations[0]))
     _write_csv(args.output, ["kappa_0", "t_0", "n_0"], rows)
     return EXIT_OK
 
@@ -191,8 +193,8 @@ def cmd_oracle(args) -> int:
 def cmd_steady(args) -> int:
     spec = _chain(args)
     if args.t0 is not None:
-        att = steady.AttachedModeSpec(coupling=args.t0, kappa=args.kappa0)
-        occ = steady.solve_with_attached(spec, att).occupations
+        mode = ModeParams(args.kappa0, spec.modes[0].n_th)
+        occ = steady.solve_with_attached(spec, mode, args.t0).occupations
         rows = [(i, occ[i]) for i in range(len(occ))]  # attached mode is site 0
     else:
         occ = steady.solve_steady_chain(spec).occupations

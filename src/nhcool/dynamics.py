@@ -2,11 +2,12 @@
 
 Two engines live here because no single linear equation covers both regimes:
 
-* :func:`single_excitation_trace` evolves one excitation without dissipation
-  and renormalizes the amplitude vector at every reported time.  This is the
-  engine behind the unbalanced Rabi oscillation; the renormalization realizes
-  the trace-preserving nonlinearity of the underlying master equation, which
-  the linearized moment equations cannot reproduce (they would let the
+* :func:`single_excitation_trace` evolves one excitation without dissipation,
+  stepping the amplitude vector on the bands of ``h`` with a Taylor series,
+  and renormalizes it at every reported time.  This is the engine behind the
+  unbalanced Rabi oscillation; the renormalization realizes the
+  trace-preserving nonlinearity of the underlying master equation, which the
+  linearized moment equations cannot reproduce (they would let the
   occupation dip below zero).
 * :func:`evolve_covariance` propagates the linearized equations of motion of
   the second moments ``C[i, j] = <a_i^dag a_j>``, valid for small occupations
@@ -27,6 +28,7 @@ scipy start-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +62,39 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
+_LOG_TOL = -54 * math.log(2)  # half of 2**-53 per Taylor term
+_MAX_STEPS = 100_000
+
+
+def _step_plan(fwd: np.ndarray, bwd: np.ndarray) -> tuple[float, int]:
+    """Steps per unit time and Taylor terms per step on the bands of ``h``.
+
+    With ``||h^m||_1 <= Omega nu**m`` and ``s nu = 2``, the terms of
+    ``exp(-i h s)`` from degree ``M`` on sum below ``2 Omega 2**M / M!``,
+    held under ``2**-53``.  ``nu = ||h||_1`` with ``Omega = 1`` always
+    holds, but ``||h||_1`` grows like ``exp(A)``.  Each bond a path crosses
+    back and forth weighs ``|t_fwd t_bwd|`` per pair, so ``nu`` may also be
+    the 1-norm of the chain with amplitudes ``sqrt(|t_fwd t_bwd|)`` and
+    ``Omega`` the product of ``max |t_fwd / t_bwd|**(+-1/2)`` over the
+    bonds; on a short chain that plan has fewer band products whatever the
+    asymmetry.
+    """
+    fwd, bwd = np.abs(fwd), np.abs(bwd)
+    g = np.sqrt(fwd) * np.sqrt(bwd)
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf for a one-way bond
+        log_ratio = np.abs(np.log(fwd) - np.log(bwd)) / 2
+    plans = []
+    for up, down, log_term in ((fwd, bwd, 0.0), (g, g, log_ratio[fwd + bwd > 0].sum())):
+        nu = float((np.append(up, 0) + np.append(0, down)).max(initial=0.0))
+        if log_term < 690:  # keeps every term of a step finite
+            n_terms = 0
+            while log_term > _LOG_TOL:
+                n_terms += 1
+                log_term += math.log(2 / n_terms)
+            plans.append((n_terms * nu, nu / 2, n_terms))
+    return min(plans)[1:]
+
+
 def single_excitation_trace(
     spec: ChainSpec, initial_site: int, tau_grid: np.ndarray
 ) -> Trajectory:
@@ -67,7 +102,14 @@ def single_excitation_trace(
 
     The amplitude vector obeys ``i dc/dtau = h c`` and is renormalized to
     unit norm at every reported time; occupations are ``|c_i|**2``.
-    ``initial_site`` is a zero-based mode index.
+    ``initial_site`` is a zero-based mode index; ``tau_grid`` must be
+    finite, nonnegative and nondecreasing (and :class:`Trajectory` rejects a
+    repeated time).  The amplitude is stepped on the bands of ``h`` with the
+    Taylor series of ``exp(-i h s)`` (see :func:`_step_plan`), read at each
+    reported time from its step's series and renormalized once per step; a
+    grid that needs more than 100,000 steps raises ``ValueError``.  The
+    eigenvectors of the non-normal ``h`` are of no use: their condition
+    number grows like ``exp(A N)``.
 
     For the canonical two-mode system with ``exp(A) = 2`` started on site 0
     this reproduces ``n_1 = cos^2 / (cos^2 + 4 sin^2)`` with period ``pi/t``.
@@ -76,20 +118,36 @@ def single_excitation_trace(
     if not 0 <= initial_site < n:
         raise IndexError(f"initial_site {initial_site} out of range for {n} modes")
     tau = np.asarray(tau_grid, dtype=float)
-    if not np.isfinite(tau).all():
-        raise ValueError("tau_grid must be finite")
-    h = build_hopping_matrix(spec).matrix
-    evals, vecs = np.linalg.eig(h)
-    coeff = np.linalg.solve(vecs, np.eye(n, dtype=complex)[:, initial_site])
-    # amplitudes[:, k] = V exp(-i L tau_k) V^-1 e_site
-    phases = np.exp(-1j * np.outer(evals, tau))
-    amps = vecs @ (coeff[:, None] * phases)
-    # Rescale before taking norms; non-reducible chains can grow exponentially.
-    peak = np.abs(amps).max(axis=0)
-    peak[peak == 0.0] = 1.0
-    amps = amps / peak
-    amps /= np.linalg.norm(amps, axis=0, keepdims=True)
-    occupations = np.abs(amps.T) ** 2
+    if not (np.isfinite(tau).all() and (np.diff(tau, prepend=0.0) >= 0).all()):
+        raise ValueError("tau_grid must be finite, nonnegative and nondecreasing")
+    hop = build_hopping_matrix(spec)
+    scale, n_terms = _step_plan(hop.fwd, hop.bwd)
+    scale = scale or 1.0  # any step is exact where h = 0
+    reach = float(tau.max(initial=0.0)) * scale  # a Python float overflows quietly
+    if not reach < _MAX_STEPS:
+        raise ValueError(f"the trace to tau = {tau.max():.6g} needs {reach:.3g} Taylor steps, "
+                         f"more than {_MAX_STEPS}; shorten the grid or weaken A")
+    # lower[m - 1] and upper[m - 1] are the bands of -i s h / m for the unit step s = 1 / scale
+    order = np.arange(1, n_terms)[:, None]
+    lower = np.append(0.0, hop.fwd) * (-1j / scale) / order
+    upper = np.append(hop.bwd, 0.0) * (-1j / scale) / order
+    step, frac = np.divmod(tau * scale, 1.0)
+    powers = np.vander(frac, n_terms, increasing=True)
+    # row m holds (-i s h)^m c / m!, padded with a zero at each end
+    terms = np.zeros((n_terms, n + 2), dtype=complex)
+    terms[0, 1 + initial_site] = 1.0
+    amps = np.empty((tau.size, n), dtype=complex)
+    start, k = 0, 0
+    while start < tau.size:
+        stop = int(np.searchsorted(step, k, side="right"))
+        for m in range(1, n_terms):
+            terms[m, 1:-1] = lower[m - 1] * terms[m - 1, :-2] + upper[m - 1] * terms[m - 1, 2:]
+        amps[start:stop] = powers[start:stop] @ terms[:, 1:-1]
+        c = terms.sum(axis=0)
+        terms[0] = c / np.linalg.norm(c)
+        start, k = stop, k + 1
+    occupations = np.abs(amps) ** 2
+    occupations /= occupations.sum(axis=1, keepdims=True)
     return Trajectory(times=tau, occupations=occupations)
 
 

@@ -259,8 +259,6 @@ def chain_from_config(config: dict) -> ChainSpec:
     n_th = float(config.get("n_th", 0.0))
     spec = make_uniform_chain(n_modes, t, a, kappa, n_th)
     overrides = config.get("bonds") or []
-    if not overrides:
-        return spec
     if not isinstance(overrides, list):
         raise ValueError("bonds must be a list of overrides")
     bonds = list(spec.bonds)

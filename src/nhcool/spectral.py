@@ -16,8 +16,7 @@ eigenvectors have the same ``|psi|**2``, so the decomposition keeps one
 eigenvector per pair, and the spectral occupations are read from its
 weights ``|psi_i|**2``, formed in real log space.  The whole eigenvector
 matrix, the weights of every eigenvector and the complex right eigenvectors
-are assembled only when they are read.  The gauge-stripped envelopes are
-the Hermitian eigenvectors themselves.
+are assembled only when they are read.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "diagonalize",
     "spectral_occupations",
     "localization_profile",
-    "gauge_stripped_envelopes",
 ]
 
 
@@ -200,12 +198,17 @@ def spectral_occupations(decomp: SpectralDecomposition, n_th: float) -> np.ndarr
     twice and the zero mode once.  Neither the whole weight matrix nor the
     complex eigenvectors are formed.
     With unit-norm eigenvectors the total is exactly ``n_modes * n_th``, and
-    a Hermitian chain gives ``n_th`` on every site.
+    a Hermitian chain gives ``n_th`` on every site.  Raises ``ValueError``
+    where an occupation overflows the double range.
     """
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
+    if not 0 <= n_th < np.inf:
+        raise ValueError(f"n_th must be finite and >= 0, got {n_th}")
     w = decomp.pair_weights
-    return n_th * (w.sum(axis=1) + w[:, : decomp.n_modes // 2].sum(axis=1))
+    with np.errstate(over="ignore"):
+        occ = n_th * (w.sum(axis=1) + w[:, : decomp.n_modes // 2].sum(axis=1))
+    if not np.isfinite(occ).all():
+        raise ValueError("an occupation overflows the double range")
+    return occ
 
 
 def localization_profile(decomp: SpectralDecomposition) -> np.ndarray:
@@ -221,14 +224,3 @@ def localization_profile(decomp: SpectralDecomposition) -> np.ndarray:
         ratios = np.where(denom > 1e-12, mags[1:, :] / denom, np.nan)
     return ratios.T
 
-
-def gauge_stripped_envelopes(decomp: SpectralDecomposition) -> np.ndarray:
-    """Eigenvector magnitudes with the exponential gauge weight removed.
-
-    Column ``alpha`` is ``|psi_alpha_i| * exp(-log_gauge[i])`` normalized to
-    unit Euclidean norm, which is ``|hermitian_eigenvectors[:, alpha]|``; for
-    a uniform chain this is the sine envelope of the underlying Hermitian
-    problem, accurate on every site however deep the chain is in the
-    overflow regime.
-    """
-    return np.abs(decomp.hermitian_eigenvectors)

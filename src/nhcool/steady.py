@@ -26,7 +26,6 @@ from .model import Bond, ChainSpec, ModeParams, RateMatrix, _canonical_bond, bui
 
 __all__ = [
     "SteadyState",
-    "AttachedModeSpec",
     "solve_steady_rates",
     "solve_steady_chain",
     "closed_form_two_mode",
@@ -54,28 +53,6 @@ class SteadyState:
     residual: float
 
 
-@dataclass(frozen=True)
-class AttachedModeSpec:
-    """A reciprocally coupled extra mode hung off the first chain site.
-
-    ``coupling`` is the (real) Hermitian amplitude between the extra mode and
-    mode 1 of the chain; ``n_th`` defaults to the bath occupation of the
-    chain's first mode.
-    """
-
-    coupling: float
-    kappa: float
-    n_th: float | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.coupling):
-            raise ValueError(f"coupling must be finite, got {self.coupling}")
-        if not 0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if self.n_th is not None and not 0 <= self.n_th < math.inf:
-            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
-
-
 def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,
                rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal balance system by subtraction-free elimination.
@@ -87,22 +64,21 @@ def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,
     """
     up, down, s, rhs = up.tolist(), down.tolist(), slack.tolist(), rhs.tolist()
     n = len(s)
-    pivot, mult = [], []
+    x, mult = [0.0] * n, [0.0] * (n - 1)
+    inflow = -0.0  # up[k - 1] * x[k - 1]; -0.0 + r is r bitwise, also for r = -0.0
     for k in range(n - 1):
-        pivot.append(up[k] + s[k])
-        if pivot[k] == 0.0:
+        pivot = up[k] + s[k]
+        if pivot == 0.0:
             raise SingularSystem(
                 f"mode {k} has neither outgoing transitions nor dissipation"
             )
-        mult.append(down[k] / pivot[k])
+        mult[k] = down[k] / pivot
         s[k + 1] += mult[k] * s[k]
-    pivot.append(s[n - 1])
-    if pivot[n - 1] == 0.0:
+        x[k] = (rhs[k] + inflow) / pivot
+        inflow = up[k] * x[k]
+    if s[n - 1] == 0.0:
         raise SingularSystem("chain carries no dissipation at all")
-
-    x = [rhs[0] / pivot[0]] + [0.0] * (n - 1)
-    for k in range(1, n):
-        x[k] = (rhs[k] + up[k - 1] * x[k - 1]) / pivot[k]
+    x[n - 1] = (rhs[n - 1] + inflow) / s[n - 1]
     for k in range(n - 2, -1, -1):
         x[k] += mult[k] * x[k + 1]
     return np.array(x)
@@ -135,7 +111,8 @@ def solve_steady_rates(
     ------
     ValueError
         If the bands do not have one entry fewer than ``kappa`` and ``n_th``,
-        or some rate, ``kappa`` or ``n_th`` is negative or NaN.
+        some rate, ``kappa`` or ``n_th`` is negative or NaN, or an occupation
+        overflows the double range.
     SingularSystem
         If no mode carries dissipation, or some modes are disconnected from
         every bath.
@@ -149,13 +126,16 @@ def solve_steady_rates(
         raise ValueError(f"need n >= 1 modes and bands of length n - 1, got shapes {shapes}")
     if not (np.concatenate((up, down, kappa, n_th)) >= 0).all():
         raise ValueError("rates, kappa and n_th must all be nonnegative")
-    injection = kappa * n_th
     # Solve for an injection of order one and scale back: a tiny bath would
     # otherwise push the elimination into subnormal floats, which lose
     # relative accuracy.  Powers of two scale every operation exactly, so in
     # the normal range the result is bitwise that of the unscaled solve.
-    _, exponent = math.frexp(float(injection.max()))
-    occ = np.ldexp(_gth_solve(up, down, kappa, np.ldexp(injection, -exponent)), exponent)
+    with np.errstate(over="ignore"):
+        injection = kappa * n_th
+        _, exponent = math.frexp(float(injection.max()))
+        occ = np.ldexp(_gth_solve(up, down, kappa, np.ldexp(injection, -exponent)), exponent)
+    if not np.isfinite(occ).all():
+        raise ValueError("an occupation overflows the double range")
     return SteadyState(occupations=occ, residual=_residual(up, down, kappa, injection, occ))
 
 
@@ -220,38 +200,35 @@ def plateau_limit(
     return k2 * n_th / (k2 + gap)
 
 
-def solve_with_attached(spec: ChainSpec, attached: AttachedModeSpec) -> SteadyState:
+def solve_with_attached(spec: ChainSpec, mode: ModeParams, coupling: float) -> SteadyState:
     """Stationary occupations with an extra reciprocal mode on the cold edge.
 
-    The extra mode couples Hermitianly (amplitude ``attached.coupling``) to
+    ``mode`` couples Hermitianly, with the real amplitude ``coupling``, to
     the chain's first mode, forming an ``n_modes + 1`` chain that is solved
     exactly; the result lists the attached mode first.
     """
-    n_th0 = attached.n_th if attached.n_th is not None else spec.modes[0].n_th
-    extended = ChainSpec(
-        modes=(ModeParams(attached.kappa, n_th0),) + spec.modes,
-        bonds=(Bond(attached.coupling, attached.coupling),) + spec.bonds,
-    )
-    return solve_steady_chain(extended)
+    if not math.isfinite(coupling):  # ModeParams checks the rest
+        raise ValueError(f"coupling must be finite, got {coupling}")
+    bonds = (Bond(coupling, coupling),) + spec.bonds
+    return solve_steady_chain(ChainSpec(modes=(mode,) + spec.modes, bonds=bonds))
 
 
-def attached_mode_estimate(
-    attached: AttachedModeSpec,
-    kappa_edge: float,
-    n_1: float,
-    n_th: float,
-) -> float:
+def attached_mode_estimate(mode: ModeParams, coupling: float, kappa_edge: float,
+                           n_1: float) -> float:
     """Closed-form estimate of the attached mode's occupation.
 
-    Uses the reciprocal rate ``g_0 = 4 t_0**2 / (kappa_edge + kappa_0)`` and
-    balances it against the attached mode's own bath:
-    ``n_0 = (g_0 n_1 + kappa_0 n_th) / (g_0 + kappa_0)``.  ``n_1`` is the
-    (separately computed) occupation of the chain site it couples to.
+    Uses the reciprocal rate ``g_0 = 4 t_0**2 / (kappa_edge + kappa_0)`` of
+    ``t_0 = coupling`` and balances it against the mode's own bath, ``kappa_0,
+    n_th = mode.kappa, mode.n_th``: ``n_0 = (g_0 n_1 + kappa_0 n_th) / (g_0 +
+    kappa_0)``.  ``n_1`` is the (separately computed) occupation of the chain
+    site it couples to.
     """
-    denom_rate = kappa_edge + attached.kappa
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
+    denom_rate = kappa_edge + mode.kappa
     if denom_rate <= 0:
-        raise ValueError("kappa_edge + attached.kappa must be positive")
-    g0 = 4.0 * attached.coupling * attached.coupling / denom_rate
-    if g0 == 0.0 and attached.kappa == 0.0:
+        raise ValueError("kappa_edge + mode.kappa must be positive")
+    g0 = 4.0 * coupling * coupling / denom_rate
+    if g0 == 0.0 and mode.kappa == 0.0:
         raise ValueError("decoupled bathless mode has no defined occupation")
-    return (g0 * n_1 + attached.kappa * n_th) / (g0 + attached.kappa)
+    return (g0 * n_1 + mode.kappa * mode.n_th) / (g0 + mode.kappa)

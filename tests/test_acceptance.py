@@ -182,9 +182,9 @@ def test_criterion_08_attached_mode():
         cooled = True
         for k0 in kappa0_grid:
             for t0 in t0_grid:
-                att = nh.AttachedModeSpec(coupling=float(t0), kappa=float(k0))
-                occ = nh.solve_with_attached(spec, att).occupations
-                est = nh.attached_mode_estimate(att, 0.01, occ[1], 1.0)
+                mode = nh.ModeParams(float(k0), 1.0)
+                occ = nh.solve_with_attached(spec, mode, float(t0)).occupations
+                est = nh.attached_mode_estimate(mode, float(t0), 0.01, occ[1])
                 worst = max(worst, abs(est - occ[0]) / occ[0])
                 cooled = cooled and occ[0] < 1.0
         return worst, cooled

@@ -63,6 +63,34 @@ class TestRabi:
         _, rows = read_csv(out)
         assert rows[:, 1] == pytest.approx(np.cos(rows[:, 0]) ** 2, abs=1e-10)
 
+    def test_strong_asymmetry_starts_on_site_1(self, tmp_path):
+        # a dense eigenbasis gave n_1 = 9.3e-36 here, with exit 0
+        out = tmp_path / "rabi.csv"
+        assert main(["rabi", "--A", "3", "--n-modes", "20", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0, 1] == 1.0
+        assert rows[:, 1:].sum(axis=1) == pytest.approx(np.ones(len(rows)), rel=1e-13)
+
+    def test_strong_asymmetry_finishes(self, tmp_path):
+        # the step follows sqrt(t_fwd t_bwd), not t e^A: a step of 1 / ||h||_1
+        # would need about 3e9 of them here
+        out = tmp_path / "rabi.csv"
+        assert main(["rabi", "--A", "20", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        c2, s2 = np.cos(rows[:, 0]) ** 2, np.sin(rows[:, 0]) ** 2
+        assert rows[:, 1] == pytest.approx(c2 / (c2 + math.exp(40.0) * s2), abs=1e-12)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--periods", "1e300"], "Taylor steps, more than 100000"),
+        (["--A", "700"], "Taylor steps, more than 100000"),
+        (["--periods", "-1"], "--periods must be >= 0, got -1.0"),
+    ])
+    def test_unserved_grid_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "rabi.csv"
+        assert main(["rabi", *argv, "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepA:
     def test_rows(self, tmp_path):
@@ -339,6 +367,11 @@ class TestNonFiniteInputs:
          "bond 0 produces a transition rate that is not finite"),
         (["scaling", "--t", "1e200", "--A", "1", "--n-max", "3"],
          "bond 0: t_fwd * t_bwd = (inf+0j) overflows or is not finite"),
+        # these two wrote inf after two RuntimeWarnings and exited 0
+        (["chain-profile", "--sizes", "3", "--n-th", "1e308"],
+         "an occupation overflows the double range"),
+        (["scaling", "--n-max", "3", "--n-th", "1e308"],
+         "an occupation overflows the double range"),
     ])
     def test_overflowing_amplitude_product_is_one_usage_error(self, tmp_path, argv, message):
         # a fresh interpreter with the default warning filters, so a numpy

@@ -88,24 +88,77 @@ class TestSingleExcitation:
         with pytest.raises(ValueError, match="finite"):
             single_excitation_trace(spec, 0, np.array([0.0, bad]))
 
-    @pytest.mark.parametrize("n_modes", [
-        30,
-        # eig's eigenvectors have conditioning ~e^{A N}: the error is 1.0 here
-        pytest.param(60, marks=pytest.mark.xfail(
-            strict=True, reason="eigenvector basis too ill-conditioned at N >= 60")),
+    def test_rejects_negative_time(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            single_excitation_trace(spec, 0, np.array([-0.5, 1.0]))
+
+    @pytest.mark.parametrize("asymmetry", [20.0, 100.0, 300.0])
+    def test_strong_two_mode_asymmetry_matches_closed_form(self, asymmetry):
+        # n_1 = cos^2 / (cos^2 + e^{2A} sin^2); the step follows sqrt(t_fwd t_bwd)
+        # = t, not t e^A, so a call stays cheap at any A
+        spec = make_uniform_chain(2, 1.0, asymmetry, 0.0, 1.0)
+        tau = np.linspace(0.0, 2.0 * math.pi, 401)
+        occ = single_excitation_trace(spec, 0, tau).occupations[:, 0]
+        with np.errstate(divide="ignore"):
+            log_ratio = 2.0 * (asymmetry + np.log(np.abs(np.tan(tau))))
+        ref = np.exp(-np.logaddexp(0.0, log_ratio))
+        assert np.abs(occ - ref).max() <= 1e-12
+
+    def test_one_way_bond(self):
+        # h = [[0, 0], [1, 0]] is nilpotent: c(tau) = (1, -i tau)
+        spec = ChainSpec(modes=[ModeParams(0.0, 0.0)] * 2, bonds=[Bond(1.0, 0.0)])
+        tau = np.linspace(0.0, 5.0, 11)
+        occ = single_excitation_trace(spec, 0, tau).occupations[:, 0]
+        assert occ == pytest.approx(1.0 / (1.0 + tau**2), rel=1e-14)
+
+    @pytest.mark.parametrize("asymmetry, tau_max", [(LN2, 1e300), (700.0, 2.0 * math.pi)])
+    def test_rejects_unbounded_step_count(self, asymmetry, tau_max):
+        spec = make_uniform_chain(2, 1.0, asymmetry, 0.0, 1.0)
+        with pytest.raises(ValueError, match="Taylor steps, more than 100000"):
+            single_excitation_trace(spec, 0, np.array([0.0, tau_max]))
+
+    @pytest.mark.parametrize("n_modes, asymmetry", [
+        pytest.param(30, LN2, id="30"),
+        pytest.param(60, LN2, id="60"),
+        pytest.param(400, LN2, id="400"),
+        pytest.param(20, 3.0, id="20-A3"),
+        pytest.param(40, 1.0, id="40-A1"),
     ])
-    def test_long_chain_matches_expm(self, n_modes):
+    def test_long_chain_matches_expm(self, n_modes, asymmetry):
         # The expm reference agrees with a 40-digit mpmath.expm to 1.4e-16 at
-        # N = 60 and tau = pi; the trace was 2.8e-10 off at N = 30.
+        # N = 60 and tau = pi.  The eigenvectors' conditioning grows like
+        # e^{A N}: a dense eigenbasis was 2.8e-10 off at N = 30 and 1.0 at
+        # N = 60, 1.0 at (N, A) = (20, 3) and 0.84 at (40, 1).
         from scipy.linalg import expm
 
-        spec = make_uniform_chain(n_modes, 1.0, LN2, 0.0, 1.0)
+        spec = make_uniform_chain(n_modes, 1.0, asymmetry, 0.0, 1.0)
         h = build_hopping_matrix(spec).matrix
         tau = np.linspace(0.0, 2.0 * math.pi, 9)
         occ = single_excitation_trace(spec, 0, tau).occupations
         for k, t in enumerate(tau):
             ref = np.abs(expm(-1j * t * h)[:, 0]) ** 2
             assert np.abs(occ[k] - ref / ref.sum()).max() <= 1e-8, t
+
+    @pytest.mark.parametrize("n_modes, asymmetry", [(20, 3.0), (12, 1.0)])
+    def test_matches_mpmath_expm(self, n_modes, asymmetry):
+        # 60-digit propagator of the double-precision bands; tau = 0.75 k is
+        # exact in both precisions
+        spec = make_uniform_chain(n_modes, 1.0, asymmetry, 0.0, 1.0)
+        hop = build_hopping_matrix(spec)
+        tau = 0.75 * np.arange(9)
+        occ = single_excitation_trace(spec, 0, tau).occupations
+        with mpmath.workdps(60):
+            h = mpmath.zeros(n_modes)
+            for k in range(n_modes - 1):
+                h[k + 1, k], h[k, k + 1] = hop.fwd[k].real, hop.bwd[k].real
+            step = mpmath.expm(-0.75j * h)
+            amp = mpmath.matrix([1] + [0] * (n_modes - 1))
+            for k in range(len(tau)):
+                weight = [abs(a) ** 2 for a in amp]
+                ref = np.array([float(w / sum(weight)) for w in weight])
+                assert np.abs(occ[k] - ref).max() <= 1e-15, tau[k]
+                amp = step * amp
 
 
 class TestMomentEquationsTwoModeReduction:

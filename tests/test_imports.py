@@ -76,14 +76,14 @@ print(json.dumps(report))
 
 _SPECTRAL_SCRIPT = _PRELUDE + """
 from nhcool import (
-    build_hopping_matrix, diagonalize, gauge_stripped_envelopes, localization_profile,
+    build_hopping_matrix, diagonalize, localization_profile,
     make_uniform_chain, spectral_occupations,
 )
 report = {"occupations": [], "scipy": []}
 for n in (1, 2, 7, 40):
     dec = diagonalize(build_hopping_matrix(make_uniform_chain(n, 1.0, 0.5, 0.0, 1.0)))
     report["occupations"].append(spectral_occupations(dec, 1.0).tolist())
-    localization_profile(dec), gauge_stripped_envelopes(dec), dec.right_eigenvectors
+    localization_profile(dec), dec.hermitian_eigenvectors, dec.right_eigenvectors
 report["scipy"] = scipy_modules()
 print(json.dumps(report))
 """

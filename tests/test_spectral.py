@@ -12,7 +12,6 @@ from nhcool import (
     SingularBond,
     build_hopping_matrix,
     diagonalize,
-    gauge_stripped_envelopes,
     localization_profile,
     make_alternating_chain,
     make_uniform_chain,
@@ -417,6 +416,12 @@ class TestSpectralOccupations:
         with pytest.raises(ValueError):
             spectral_occupations(dec, -1.0)
 
+    def test_overflowing_occupation_rejected(self):
+        # the cold site's 0.4 n_th is finite, the hot site's 1.6 n_th is not
+        _, dec = decompose_uniform(2)
+        with pytest.raises(ValueError, match="an occupation overflows the double range"):
+            spectral_occupations(dec, 1.5e308)
+
     @pytest.mark.parametrize(
         "spec,dps",
         [
@@ -499,7 +504,7 @@ class TestEnvelopes:
     def test_envelope_recovers_sine_profile(self):
         n = 10
         _, dec = decompose_uniform(n)
-        env = gauge_stripped_envelopes(dec)
+        env = np.abs(dec.hermitian_eigenvectors)
         i = np.arange(1, n + 1)
         for alpha_ix in range(n):
             a = n - alpha_ix
@@ -509,7 +514,7 @@ class TestEnvelopes:
 
     def test_envelope_finite_in_overflow_regime(self):
         _, dec = decompose_uniform(250)
-        env = gauge_stripped_envelopes(dec)
+        env = np.abs(dec.hermitian_eigenvectors)
         assert np.all(np.isfinite(env))
 
     def test_envelope_exact_in_overflow_regime(self):
@@ -517,7 +522,7 @@ class TestEnvelopes:
         # edge; the envelope must still be the sine on every site
         n = 250
         _, dec = decompose_uniform(n, asymmetry=3.0)
-        env = gauge_stripped_envelopes(dec)
+        env = np.abs(dec.hermitian_eigenvectors)
         i = np.arange(1, n + 1)
         for alpha_ix in range(n):
             a = n - alpha_ix

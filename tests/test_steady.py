@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhcool import (
-    AttachedModeSpec,
     Bond,
     ChainSpec,
     DivergentRate,
@@ -276,6 +275,12 @@ class TestSolveSteadyRates:
         with pytest.raises(SingularSystem):
             solve_steady_rates(g, np.zeros(2), np.ones(2))
 
+    def test_rejects_overflowing_occupation(self):
+        # the cold edge's occupation is finite, the hot edge's near 2e308 is not
+        g = RateMatrix(np.array([10.0]), np.array([0.1]))
+        with pytest.raises(ValueError, match="an occupation overflows the double range"):
+            solve_steady_rates(g, np.full(2, 0.01), np.full(2, 1e308))
+
     def test_isolated_bathless_mode_raises(self):
         g = RateMatrix(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         with pytest.raises(SingularSystem):
@@ -358,26 +363,25 @@ class TestSpectralConsistency:
 class TestAttachedMode:
     def test_decoupled_mode_thermalizes(self):
         spec = make_uniform_chain(5, 1.0, LN2, 0.01, 1.0)
-        ss = solve_with_attached(spec, AttachedModeSpec(coupling=0.0, kappa=0.02))
+        ss = solve_with_attached(spec, ModeParams(0.02, 1.0), 0.0)
         assert len(ss.occupations) == 6
         assert ss.occupations[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_huge_kappa0_pins_to_own_bath(self):
         spec = make_uniform_chain(5, 1.0, LN2, 0.01, 1.0)
-        ss = solve_with_attached(spec, AttachedModeSpec(coupling=1.0, kappa=1e6))
+        ss = solve_with_attached(spec, ModeParams(1e6, 1.0), 1.0)
         assert ss.occupations[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_canonical_point(self):
         spec = make_uniform_chain(15, 1.0, LN2, 0.01, 1.0)
-        ss = solve_with_attached(spec, AttachedModeSpec(coupling=1.0, kappa=0.01))
+        ss = solve_with_attached(spec, ModeParams(0.01, 1.0), 1.0)
         assert ss.occupations[0] == pytest.approx(1.1225576463537424e-4, rel=1e-6)
 
     def test_estimate_with_plateau_edge_value(self):
         # feeding the closed-form floor into the balance estimate reproduces
         # the back-of-envelope number (g0 n1 + kappa0) / (g0 + kappa0) ~ 7.7e-5
-        att = AttachedModeSpec(coupling=1.0, kappa=0.01)
         n1 = plateau_limit(1.0, LN2, 0.01, 1.0)
-        est = attached_mode_estimate(att, 0.01, n1, 1.0)
+        est = attached_mode_estimate(ModeParams(0.01, 1.0), 1.0, 0.01, n1)
         want = (200.0 * n1 + 0.01) / 200.01
         assert est == pytest.approx(want, rel=1e-12)
         assert est == pytest.approx(7.7e-5, rel=0.01)
@@ -386,24 +390,31 @@ class TestAttachedMode:
         # the estimate evaluated with the solved n_1 is the attached mode's
         # own balance row, so it reproduces the full solve exactly
         spec = make_uniform_chain(15, 1.0, LN2, 0.01, 1.0)
-        att = AttachedModeSpec(coupling=0.7, kappa=0.003)
-        ss = solve_with_attached(spec, att)
-        est = attached_mode_estimate(att, 0.01, ss.occupations[1], 1.0)
+        mode = ModeParams(0.003, 1.0)
+        ss = solve_with_attached(spec, mode, 0.7)
+        est = attached_mode_estimate(mode, 0.7, 0.01, ss.occupations[1])
         assert est == pytest.approx(ss.occupations[0], rel=1e-10)
 
     def test_cooling_whenever_chain_edge_is_cold(self):
         spec = make_uniform_chain(8, 1.0, LN2, 0.01, 1.0)
         for t0 in (0.05, 0.3, 1.0, 2.0):
             for k0 in (1e-4, 1e-2, 1e-1):
-                ss = solve_with_attached(spec, AttachedModeSpec(coupling=t0, kappa=k0))
+                ss = solve_with_attached(spec, ModeParams(k0, 1.0), t0)
                 assert ss.occupations[0] < 1.0
 
     def test_custom_bath_occupation(self):
         spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
-        ss = solve_with_attached(
-            spec, AttachedModeSpec(coupling=0.0, kappa=0.02, n_th=0.25)
-        )
+        ss = solve_with_attached(spec, ModeParams(0.02, 0.25), 0.0)
         assert ss.occupations[0] == pytest.approx(0.25, rel=1e-12)
+
+    def test_estimate_reads_the_mode_bath(self):
+        # the mode's bath (0.25) differs from the chain's (1.0), and both
+        # functions read it from the one ModeParams
+        spec = make_uniform_chain(15, 1.0, LN2, 0.01, 1.0)
+        mode = ModeParams(0.003, 0.25)
+        ss = solve_with_attached(spec, mode, 0.7)
+        est = attached_mode_estimate(mode, 0.7, 0.01, ss.occupations[1])
+        assert est == pytest.approx(ss.occupations[0], rel=1e-10)
 
     @pytest.mark.parametrize("kwargs", [
         dict(coupling=math.nan, kappa=0.01), dict(coupling=math.inf, kappa=0.01),
@@ -412,12 +423,20 @@ class TestAttachedMode:
         dict(coupling=1.0, kappa=0.01, n_th=math.inf),
     ])
     def test_spec_rejects_non_finite(self, kwargs):
+        # ModeParams checks the mode, solve_with_attached the coupling
+        spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            AttachedModeSpec(**kwargs)
+            mode = ModeParams(kwargs["kappa"], kwargs.get("n_th", 1.0))
+            solve_with_attached(spec, mode, kwargs["coupling"])
+
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf])
+    def test_estimate_rejects_non_finite_coupling(self, coupling):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            attached_mode_estimate(ModeParams(0.01, 1.0), coupling, 0.01, 0.1)
 
     def test_estimate_rejects_fully_decoupled(self):
         with pytest.raises(ValueError):
-            attached_mode_estimate(AttachedModeSpec(0.0, 0.0), 0.0, 0.1, 1.0)
+            attached_mode_estimate(ModeParams(0.0, 1.0), 0.0, 0.0, 0.1)
 
 
 # --- properties on random long chains -----------------------------------------

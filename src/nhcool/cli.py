@@ -95,6 +95,8 @@ def cmd_rabi(args) -> int:
         raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {args.start_site}")
     if args.periods < 0:
         raise ValueError(f"--periods must be >= 0, got {args.periods}")
+    if args.periods == 0 and args.grid > 1:
+        raise ValueError(f"--periods 0 gives one time, not --grid {args.grid}; use --grid 1")
     tau = np.linspace(0.0, args.periods * math.pi / args.t, args.grid)
     traj = dynamics.single_excitation_trace(spec, args.start_site - 1, tau)
     header = ["tau"] + [f"n_{i + 1}" for i in range(spec.n_modes)]

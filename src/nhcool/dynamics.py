@@ -16,14 +16,15 @@ Two engines live here because no single linear equation covers both regimes:
 The moment equations are written once, as a sparse operator on the band
 (occupations and nearest-neighbour coherences; the other coherences only
 decay).  The band flow is affine, so :func:`evolve_covariance` applies its
-exact exponential; its fixed point is a sparse linear system that
+exact exponential, a dense numpy Taylor exponential with scaling and
+squaring.  Its fixed point is a sparse linear system that
 :func:`steady_from_dynamics` solves directly, in O(N) time and memory, and
 so cross-checks the stationary rate-equation solver without going through
 the rate formula.
 
-scipy (``scipy.sparse`` for the operator, its LU and its exponential) is
-imported on the first call that needs it, so importing this module costs no
-scipy start-up.
+scipy (``scipy.sparse`` for the operator, ``scipy.sparse.linalg`` for its
+LU) is imported on the first call that needs it, so importing this module
+costs no scipy start-up.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ _LOG_TOL = -54 * math.log(2)  # half of 2**-53 per Taylor term
 _MAX_STEPS = 100_000
 
 
+def _taylor_terms(log_scale: float, log_start: float = 0.0) -> int:
+    """Number ``M`` of Taylor terms to keep, degrees ``0 .. M - 1``.
+
+    ``M`` is the first degree whose bound ``exp(log_start + m log_scale) / m!``
+    is at most ``2**-54``.
+    """
+    n_terms, log_bound = 0, log_start
+    while log_bound > _LOG_TOL:
+        n_terms += 1
+        log_bound += log_scale - math.log(n_terms)
+    return n_terms
+
+
 def _step_plan(fwd: np.ndarray, bwd: np.ndarray) -> tuple[float, int]:
     """Steps per unit time and Taylor terms per step on the bands of ``h``.
 
@@ -87,10 +101,7 @@ def _step_plan(fwd: np.ndarray, bwd: np.ndarray) -> tuple[float, int]:
     for up, down, log_term in ((fwd, bwd, 0.0), (g, g, log_ratio[fwd + bwd > 0].sum())):
         nu = float((np.append(up, 0) + np.append(0, down)).max(initial=0.0))
         if log_term < 690:  # keeps every term of a step finite
-            n_terms = 0
-            while log_term > _LOG_TOL:
-                n_terms += 1
-                log_term += math.log(2 / n_terms)
+            n_terms = _taylor_terms(math.log(2), log_term)
             plans.append((n_terms * nu, nu / 2, n_terms))
     return min(plans)[1:]
 
@@ -231,6 +242,29 @@ def _occupation_scale(n_th: np.ndarray) -> float:
     return float(n_th.max()) if n_th.size and n_th.max() > 0 else 1.0
 
 
+def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
+    """``exp(tau mat)`` by scaling and squaring with Taylor terms at 1-norm <= 1.
+
+    ``j = ceil(log2 ||tau mat||_1)`` squarings bring ``tau mat / 2**j`` to
+    1-norm ``theta <= 1``; its terms of degree ``m`` are bounded by
+    ``theta**m / m!`` and kept while that bound is above ``2**-54``.
+    """
+    out = np.eye(len(mat), dtype=mat.dtype)
+    norm = float(np.abs(mat).sum(axis=0).max(initial=0.0))
+    if not norm * tau > 0:  # exp(tau mat) = I to double precision
+        return out
+    squarings = max(0, math.ceil(math.log2(norm) + math.log2(tau)))  # no overflow at huge tau
+    scaled = mat * math.ldexp(tau, -squarings)
+    term = out
+    for m in range(1, _taylor_terms(math.log(norm * math.ldexp(tau, -squarings)))):
+        term = term @ scaled
+        term /= m
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def evolve_covariance(
     spec: ChainSpec,
     cov0: np.ndarray,
@@ -240,18 +274,29 @@ def evolve_covariance(
     """Propagate the linearized moment equations exactly up to ``t_end``.
 
     The band evolves under the affine flow ``dx/dtau = system @ x + source``,
-    which the augmented matrix ``[[system, source], [0, 0]]`` acting on
-    ``[x0; 1]`` makes linear; its exponential is applied by
-    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham), stepping from
-    one reported time to the next.  The entries off the band only decay, as
-    ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
+    which the augmented matrix ``S = [[system, source], [0, 0]]`` (``3N - 1``
+    rows) acting on ``[x0; 1]`` makes linear.  Each reported step applies a
+    dense ``exp(tau S)`` by scaling and squaring with Taylor terms at 1-norm
+    <= 1 (Moler and Van Loan): a few tens of ``rows**3`` products, growing
+    only with ``log2 ||tau S||_1``, so a huge ``t_end`` costs about a
+    thousand squarings.  It holds about five ``rows x rows`` complex
+    matrices (0.7 GB at N = 1000); a step at tau = 200 took about 0.13 s at
+    N = 100 and 1.3 s at N = 200.  Neither the Pade ``scipy.linalg.expm`` (it lost all accuracy at
+    N = 100, tau = 200 on this non-normal operator) nor the matrix-free
+    ``expm_multiply`` (about 100 ms per step at tau = 200 whatever the row
+    count, much of it overhead) is used.  The entries off the band only
+    decay, as ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
 
     The reported times are ``t_eval`` (strictly increasing, within
-    ``[0, t_end]``) or, without it, ``[0, t_end]``.
+    ``[0, t_end]``) or, without it, ``[0, t_end]``.  ``t_end`` must be finite
+    and nonnegative.  The transient grows by about ``e^A`` per mode before it
+    decays, and its rounding stays behind: at ``e^A = 2`` the long-time state
+    is off by about 1e-6 at N = 40 and 0.1 at N = 60, so take stationary
+    states from :func:`steady_from_dynamics`.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
-
+    t_end = float(t_end)
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     gen = _MomentGenerator(spec)
     n = gen.n
     cov0 = np.asarray(cov0, dtype=complex)
@@ -263,13 +308,13 @@ def evolve_covariance(
         times.size and steps[0] >= 0 and np.all(steps[1:] > 0) and times[-1] <= t_end
     ):
         raise ValueError(f"reported times must be strictly increasing within [0, {t_end}]")
-    augmented = sp.bmat(
-        [[gen.system, gen.source[:, None]], [None, sp.csc_matrix((1, 1))]], format="csc"
-    )
+    augmented = np.zeros((3 * n - 1, 3 * n - 1), dtype=complex)
+    augmented[:-1, :-1] = gen.system.toarray()
+    augmented[:-1, -1] = gen.source
     x = np.append(cov0.flat[gen.band_pos], 1.0)
     covs = cov0 * np.exp(gen.decay * times[:, None, None])
-    for k, step in enumerate(steps):
-        x = expm_multiply(step * augmented, x)
+    for k, step in enumerate(steps.tolist()):  # Python floats overflow quietly
+        x = _expm_taylor(augmented, step) @ x
         covs[k].flat[gen.band_pos] = x[:-1]
     occupations = np.real(np.diagonal(covs, axis1=1, axis2=2))
     return Trajectory(times=times, occupations=occupations, covariances=covs)

@@ -47,6 +47,12 @@ class TestRabi:
         assert len(rows) == 1000
         assert rows[-1, 0] == pytest.approx(2.0 * math.pi, rel=1e-12)
 
+    def test_zero_periods_single_point(self, tmp_path):
+        out = tmp_path / "rabi.csv"
+        assert main(["rabi", "--periods", "0", "--grid", "1", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows.tolist() == [[0.0, 1.0, 0.0]]
+
     @pytest.mark.parametrize("config", [{}, {"n_modes": 3, "bonds": [{"index": 0, "t": 0.5}]}])
     def test_period_follows_t(self, tmp_path, config):
         # a bond override does not change the period, which is pi / --t
@@ -84,6 +90,7 @@ class TestRabi:
         (["--periods", "1e300"], "Taylor steps, more than 100000"),
         (["--A", "700"], "Taylor steps, more than 100000"),
         (["--periods", "-1"], "--periods must be >= 0, got -1.0"),
+        (["--periods", "0", "--grid", "3"], "--periods 0 gives one time, not --grid 3"),
     ])
     def test_unserved_grid_is_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "rabi.csv"

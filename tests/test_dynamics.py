@@ -26,6 +26,31 @@ from nhcool import (
 LN2 = math.log(2.0)
 
 
+def jittered_chain(n_modes, seed):
+    """Bonds ``t e^{+-A}`` with t and A jittered by 2% around 1 and ln 2; kappa = 0.01, n_th = 1."""
+    rng = np.random.default_rng(seed)
+    ts = 1 + 0.02 * rng.uniform(-1, 1, n_modes - 1)
+    amps = LN2 * (1 + 0.02 * rng.uniform(-1, 1, n_modes - 1))
+    bonds = tuple(Bond(t * math.exp(a), t * math.exp(-a)) for t, a in zip(ts, amps))
+    return ChainSpec(modes=(ModeParams(0.01, 1.0),) * n_modes, bonds=bonds)
+
+
+def band_generator(spec):
+    """``[[system, source], [0, 0]]`` on the band, probed from covariance_rhs."""
+    n = spec.n_modes
+    pos = [(i, i) for i in range(n)]
+    pos += [(k, k + 1) for k in range(n - 1)] + [(k + 1, k) for k in range(n - 1)]
+    rows, cols = map(list, zip(*pos))
+    offset = covariance_rhs(spec, np.zeros((n, n)))[rows, cols]
+    gen = np.zeros((len(pos) + 1,) * 2, dtype=complex)
+    for k, (i, j) in enumerate(pos):
+        unit = np.zeros((n, n))
+        unit[i, j] = 1.0
+        gen[:-1, k] = covariance_rhs(spec, unit)[rows, cols] - offset
+    gen[:-1, -1] = offset
+    return gen, pos
+
+
 def rabi_closed_form(tau):
     c2, s2 = np.cos(tau) ** 2, np.sin(tau) ** 2
     return c2 / (c2 + 4.0 * s2)
@@ -325,6 +350,35 @@ class TestEvolveCovariance:
             assert got[0, 2] == pytest.approx(cov0[0, 2] * decay, rel=1e-14, abs=0)
             assert got[2, 0] == pytest.approx(cov0[2, 0] * decay, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan, -1.0])
+    def test_rejects_t_end_not_finite_or_negative(self, t_end):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
+        with pytest.raises(ValueError, match="t_end"):
+            evolve_covariance(spec, np.eye(2, dtype=complex), t_end)
+
+    def test_huge_t_end_returns_stationary_state(self):
+        # about 1000 squarings; measured 9.1e-14
+        spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
+        traj = evolve_covariance(spec, np.eye(3, dtype=complex), 1e300)
+        want = steady_from_dynamics(spec).occupations
+        assert traj.occupations[-1] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_benchmark_shape_matches_extended_precision(self):
+        # the benchmark's shape (N = 10, tau = 200) against a 30-digit
+        # exponential of the band generator (about 2.5 s).  The non-normal
+        # flow amplifies rounding: over eleven seeds of this chain the Taylor
+        # exponential was off by 2e-13 to 3.1e-12 (7.8e-13 on this one), and
+        # expm_multiply by 7.6e-13 to 1.5e-11, so the bound pins accuracy
+        # above that noise and does not tell the two apart.
+        spec = jittered_chain(10, seed=0)
+        cov0 = np.diag(spec.n_th_vector()).astype(complex)
+        traj = evolve_covariance(spec, cov0, 200.0)
+        gen, pos = band_generator(spec)
+        start = mpmath.matrix([cov0[i, j] for i, j in pos] + [1.0])
+        with mpmath.workdps(30):
+            vec = mpmath.expm(200 * mpmath.matrix(gen.tolist())) * start
+            want = np.array([float(mpmath.re(v)) for v in vec[:10]])
+        assert traj.occupations[-1] == pytest.approx(want, rel=1e-11, abs=0)
 
 class TestSteadyFromDynamics:
     def test_single_mode(self):

@@ -74,6 +74,15 @@ report = {
 print(json.dumps(report))
 """
 
+_DYNAMICS_SCRIPT = _PRELUDE + """
+import numpy as np
+from nhcool import evolve_covariance, make_uniform_chain
+spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
+traj = evolve_covariance(spec, np.eye(3), 200.0, t_eval=[0.5, 20.0, 200.0])
+report = {"occupations": traj.occupations.tolist(), "scipy": scipy_modules()}
+print(json.dumps(report))
+"""
+
 _SPECTRAL_SCRIPT = _PRELUDE + """
 from nhcool import (
     build_hopping_matrix, diagonalize, localization_profile,
@@ -120,6 +129,15 @@ def test_package_and_numpy_only_commands_load_no_scipy(tmp_path):
         assert code == 0, argv
         assert loaded == [], f"{argv} loaded {loaded[:3]}"
     assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_FREE)
+
+
+def test_covariance_propagation_loads_no_sparse_linalg(tmp_path):
+    # the exponential is numpy's; the generator's scipy.sparse may load,
+    # expm_multiply's module may not
+    report = _run_fresh(_DYNAMICS_SCRIPT, [], tmp_path)
+    assert len(report["occupations"]) == 3
+    assert "scipy.sparse" in report["scipy"]
+    assert "scipy.sparse.linalg" not in report["scipy"]
 
 
 def test_spectral_layer_loads_no_scipy(tmp_path):

@@ -15,8 +15,8 @@ it has no flag for are ignored), its own flags spelled with underscores
 "t": .., "A": ..}``, applied by every command that builds a chain.  Any
 other key is a usage error.
 
-Exit status: 0 on success, 2 on usage errors, 3 on solver errors, 4 when a
-cross-layer validation fails.
+Exit status: 0 on success, 2 on usage errors, 3 on solver and i/o errors,
+4 when a cross-layer validation fails.
 """
 
 from __future__ import annotations

@@ -59,8 +59,17 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.occupations):
             raise ValueError("times and occupations must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        self.check_times(self.times)
+
+    @staticmethod
+    def check_times(times) -> np.ndarray:
+        """``times`` as floats if finite, nonnegative and strictly increasing."""
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or not (
+            np.isfinite(times).all() and (times >= 0).all() and (np.diff(times) > 0).all()
+        ):
+            raise ValueError("times must be finite, nonnegative and strictly increasing")
+        return times
 
 
 _LOG_TOL = -54 * math.log(2)  # half of 2**-53 per Taylor term
@@ -114,13 +123,12 @@ def single_excitation_trace(
     The amplitude vector obeys ``i dc/dtau = h c`` and is renormalized to
     unit norm at every reported time; occupations are ``|c_i|**2``.
     ``initial_site`` is a zero-based mode index; ``tau_grid`` must be
-    finite, nonnegative and nondecreasing (and :class:`Trajectory` rejects a
-    repeated time).  The amplitude is stepped on the bands of ``h`` with the
-    Taylor series of ``exp(-i h s)`` (see :func:`_step_plan`), read at each
-    reported time from its step's series and renormalized once per step; a
-    grid that needs more than 100,000 steps raises ``ValueError``.  The
-    eigenvectors of the non-normal ``h`` are of no use: their condition
-    number grows like ``exp(A N)``.
+    finite, nonnegative and strictly increasing.  The amplitude is stepped
+    on the bands of ``h`` with the Taylor series of ``exp(-i h s)`` (see
+    :func:`_step_plan`), read at each reported time from its step's series
+    and renormalized once per step; a grid that needs more than 100,000
+    steps raises ``ValueError``.  The eigenvectors of the non-normal ``h``
+    are of no use: their condition number grows like ``exp(A N)``.
 
     For the canonical two-mode system with ``exp(A) = 2`` started on site 0
     this reproduces ``n_1 = cos^2 / (cos^2 + 4 sin^2)`` with period ``pi/t``.
@@ -128,9 +136,7 @@ def single_excitation_trace(
     n = spec.n_modes
     if not 0 <= initial_site < n:
         raise IndexError(f"initial_site {initial_site} out of range for {n} modes")
-    tau = np.asarray(tau_grid, dtype=float)
-    if not (np.isfinite(tau).all() and (np.diff(tau, prepend=0.0) >= 0).all()):
-        raise ValueError("tau_grid must be finite, nonnegative and nondecreasing")
+    tau = Trajectory.check_times(tau_grid)
     hop = build_hopping_matrix(spec)
     scale, n_terms = _step_plan(hop.fwd, hop.bwd)
     scale = scale or 1.0  # any step is exact where h = 0
@@ -287,27 +293,26 @@ def evolve_covariance(
     count, much of it overhead) is used.  The entries off the band only
     decay, as ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
 
-    The reported times are ``t_eval`` (strictly increasing, within
-    ``[0, t_end]``) or, without it, ``[0, t_end]``.  ``t_end`` must be finite
-    and nonnegative.  The transient grows by about ``e^A`` per mode before it
-    decays, and its rounding stays behind: at ``e^A = 2`` the long-time state
-    is off by about 1e-6 at N = 40 and 0.1 at N = 60, so take stationary
-    states from :func:`steady_from_dynamics`.
+    The reported times are ``t_eval``, nonempty and at most ``t_end``, or
+    without it ``[0, t_end]`` (``[0]`` at ``t_end = 0``); :class:`Trajectory`
+    requires them finite, nonnegative and strictly increasing.  ``t_end``
+    must be finite and nonnegative.  The transient grows by about ``e^A``
+    per mode before it decays, and its rounding stays behind: at
+    ``e^A = 2`` the long-time state is off by about 1e-6 at N = 40 and 0.1
+    at N = 60, so take stationary states from :func:`steady_from_dynamics`.
     """
     t_end = float(t_end)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
-    gen = _MomentGenerator(spec)
-    n = gen.n
+    times = Trajectory.check_times(np.unique([0.0, t_end]) if t_eval is None else t_eval)
+    if not (times.size and times[-1] <= t_end):
+        raise ValueError(f"t_eval must be nonempty and end at or before t_end = {t_end}")
+    n = spec.n_modes
     cov0 = np.asarray(cov0, dtype=complex)
     if cov0.shape != (n, n):
         raise ValueError(f"covariance must be {n} x {n}, got {cov0.shape}")
-    times = np.array([0.0, t_end]) if t_eval is None else np.asarray(t_eval, dtype=float)
+    gen = _MomentGenerator(spec)
     steps = np.diff(times, prepend=0.0)
-    if times.ndim != 1 or not (
-        times.size and steps[0] >= 0 and np.all(steps[1:] > 0) and times[-1] <= t_end
-    ):
-        raise ValueError(f"reported times must be strictly increasing within [0, {t_end}]")
     augmented = np.zeros((3 * n - 1, 3 * n - 1), dtype=complex)
     augmented[:-1, :-1] = gen.system.toarray()
     augmented[:-1, -1] = gen.source

@@ -16,10 +16,10 @@ fixed point is the eigenvector of ``L0`` whose eigenvalue has the largest
 real part.  :func:`oracle_steady` computes it on the blocks of ``rho`` that
 are diagonal in total boson number (the only blocks the thermal start state
 reaches), while :func:`evolve_master_equation` applies the exact propagator
-``rho0 -> exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` on the blocks that the
-start state occupies.  The operators and the ``L0`` blocks are dense numpy
-arrays, and both solves on them are dense: a dense ``expm`` per occupied
-block for the trajectory, and ``eigvals`` plus inverse iteration for the
+``rho0 -> exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` on one block, the union
+of the sectors that the start state occupies.  The operators and the ``L0``
+blocks are dense numpy arrays, and both solves on them are dense: one dense
+``expm`` per trajectory, and ``eigvals`` plus inverse iteration for the
 stationary state.  The Hilbert dimension and each Liouvillian block are
 capped at ``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
 ``scipy.linalg`` is imported on the first call that needs it.
@@ -150,25 +150,26 @@ def _number_totals(n_modes: int, cutoff: int) -> np.ndarray:
 
 
 def _sector_pairs(
-    n_modes: int, cutoff: int, difference: int = 0
+    n_modes: int, cutoff: int, differences: tuple[int, ...] = (0,)
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(a, b)`` of Fock states whose total boson numbers differ
-    by ``difference`` (``M_a - M_b``); ``L0`` maps each such sector of
-    ``rho`` into itself.
+    by one of ``differences`` (``M_a - M_b``); ``L0`` maps each such sector of
+    ``rho``, and so their union, into itself.
 
-    Raises :class:`DimensionTooLarge` when there are more than
+    Raises :class:`DimensionTooLarge` when the union has more than
     ``MAX_DIMENSION`` pairs, before any Liouvillian is allocated.
     """
     _check_dimension(n_modes, cutoff)
     total = _number_totals(n_modes, cutoff)
     sectors = [
         (np.flatnonzero(total == count), np.flatnonzero(total == count - difference))
+        for difference in differences
         for count in range(total.max() + 1)
     ]
     size = sum(len(lefts) * len(rights) for lefts, rights in sectors)
     if size > MAX_DIMENSION:
         raise DimensionTooLarge(
-            f"Liouvillian block of number difference {difference} has {size} rows, "
+            f"Liouvillian block of number differences {list(differences)} has {size} rows, "
             f"exceeding the dense guard rail {MAX_DIMENSION}"
         )
     left = np.concatenate([np.repeat(lefts, len(rights)) for lefts, rights in sectors])
@@ -230,58 +231,50 @@ def evolve_master_equation(
     ``rho(tau) = exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` solves
     ``rho' = L0 rho - Tr(L0 rho) rho`` exactly.  ``L0`` conserves the
     difference of the total boson numbers of a matrix element's two Fock
-    states, so each such sector that ``rho0`` occupies (a number-diagonal
-    start state occupies only sector 0) is propagated on its own, by
-    applying the dense ``scipy.linalg.expm(t_end * L0)`` of its block
-    (scaling and squaring, Al-Mohy and Higham 2009).  Past
-    ``|L0 t_end|_1 = EXPM_NORM_LIMIT`` the exponential of ``t_end * L0 / 2**s``
-    is squared ``s`` times here instead, rescaled before each squaring so that
-    the growth ``exp(lambda_1 t_end)`` cannot overflow.  Its cost is O(n^3) in
-    the block's rows and grows only with ``log(|L0| t_end)``, so long times
-    are cheap; on large blocks at short times it is slower than a
-    matrix-free propagator would be.
+    states, so it maps the union of the sectors that ``rho0`` occupies into
+    itself, and that one block is propagated by the dense
+    ``scipy.linalg.expm(t_end * L0)`` (scaling and squaring, Al-Mohy and
+    Higham 2009).  Past ``|L0 t_end|_1 = EXPM_NORM_LIMIT`` the exponential of
+    ``t_end * L0 / 2**s`` is squared ``s`` times here instead, rescaled before
+    each squaring so that the growth ``exp(lambda_1 t_end)`` cannot overflow.
+    The cost is O(n^3) in the block's rows ``n`` and grows only with
+    ``log(|L0| t_end)``.  A thermal or number state occupies sector 0 alone;
+    a coherent start pays ``(sum rows)**3``, not ``sum rows**3`` (393 rows
+    against 141 + 126 + 126 at three modes and cutoff 3).
 
     Raises
     ------
     ValueError
-        If ``t_end`` is negative or ``rho0`` has another mode count.
+        If ``t_end`` is not finite and >= 0 or ``rho0`` has another mode count.
     DimensionTooLarge
-        If an occupied sector has more than ``MAX_DIMENSION`` rows.
+        If the occupied sectors have more than ``MAX_DIMENSION`` rows together.
     """
     from scipy.linalg import expm
 
     if rho0.n_modes != spec.n_modes:
         raise ValueError("initial state and chain have different mode counts")
-    if not t_end >= 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     total = _number_totals(rho0.n_modes, rho0.cutoff)
     occupied = np.unique((total[:, None] - total[None, :])[rho0.rho != 0])
-    # every sector's size guard runs before any operator is allocated
-    pairs = [_sector_pairs(rho0.n_modes, rho0.cutoff, int(d)) for d in occupied]
+    # the size guard runs before any operator is allocated
+    left, right = _sector_pairs(rho0.n_modes, rho0.cutoff, tuple(occupied.tolist()))
+    generator = _liouvillian(spec, rho0.cutoff, left, right)
+    # exp(L0 tau) grows like exp(lambda_1 tau) and overflows at long times:
+    # exponentiate a piece of norm <= EXPM_NORM_LIMIT, then square it back
+    # up, dividing by its largest entry before each squaring; the trace
+    # normalization removes the divisors
+    norm = float(np.abs(generator).sum(axis=0).max())
+    squarings = 0
+    if norm * t_end > EXPM_NORM_LIMIT:  # counted in logs: norm * t_end may overflow
+        squarings = math.ceil(math.log2(norm / EXPM_NORM_LIMIT) + math.log2(t_end))
+    generator *= math.ldexp(t_end, -squarings)  # in place: one block-sized copy fewer at the peak
+    propagator = expm(generator)
+    for _ in range(squarings):
+        propagator /= np.abs(propagator).max()
+        propagator = propagator @ propagator
     rho = np.zeros_like(rho0.rho, dtype=complex)
-    log_scales = []
-    for left, right in pairs:
-        generator = _liouvillian(spec, rho0.cutoff, left, right)
-        # exp(L0 tau) grows like exp(lambda_1 tau) and overflows at long times:
-        # exponentiate a piece of norm <= EXPM_NORM_LIMIT, then square it back
-        # up, dividing by its largest entry before each squaring and keeping
-        # the log of the divisors
-        norm = np.abs(generator).sum(axis=0).max() * t_end
-        squarings = math.ceil(math.log2(norm / EXPM_NORM_LIMIT)) if norm > EXPM_NORM_LIMIT else 0
-        generator *= t_end / 2.0**squarings  # in place: one block-sized copy fewer at the peak
-        propagator = expm(generator)
-        log_scale = 0.0
-        for _ in range(squarings):
-            peak = np.abs(propagator).max()
-            propagator /= peak
-            propagator = propagator @ propagator
-            log_scale = 2.0 * (log_scale + math.log(peak))
-        rho[left, right] = propagator @ rho0.rho[left, right]
-        log_scales.append(log_scale)
-    # restore the sectors' relative scale; the trace normalization removes the rest
-    top = max(log_scales)
-    for (left, right), scale in zip(pairs, log_scales):
-        rho[left, right] *= math.exp(scale - top)
+    rho[left, right] = propagator @ rho0.rho[left, right]
     state = FockDensityMatrix(
         rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
     )

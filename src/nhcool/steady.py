@@ -179,8 +179,8 @@ def plateau_limit(
     Returns ``kappa**2 * n_th / (kappa**2 + t_fwd**2 - t_bwd**2)`` with
     ``t_fwd = t exp(A)`` and ``t_bwd = t exp(-A)``; only meaningful for
     positive asymmetry, where the denominator is positive.  Raises
-    ``ValueError`` where ``t**2 exp(2 A)`` is not finite, as
-    :func:`nhcool.model.build_rate_matrix` does for the chain.
+    ``ValueError`` where ``t`` or ``kappa`` is not positive, ``n_th`` is not
+    finite and >= 0 or ``t**2 exp(2 A)`` is not finite, as the chain would.
     """
     if asymmetry <= 0:
         raise InvalidRegime(
@@ -188,8 +188,7 @@ def plateau_limit(
         )
     if not coupling > 0 or not kappa > 0:
         raise ValueError("coupling and kappa must be positive")
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
+    ModeParams(kappa, n_th)  # kappa and n_th finite and >= 0
     k2 = kappa * kappa
     try:
         gap = coupling * coupling * (math.exp(2 * asymmetry) - math.exp(-2 * asymmetry))
@@ -221,10 +220,12 @@ def attached_mode_estimate(mode: ModeParams, coupling: float, kappa_edge: float,
     ``t_0 = coupling`` and balances it against the mode's own bath, ``kappa_0,
     n_th = mode.kappa, mode.n_th``: ``n_0 = (g_0 n_1 + kappa_0 n_th) / (g_0 +
     kappa_0)``.  ``n_1`` is the (separately computed) occupation of the chain
-    site it couples to.
+    site it couples to; it and ``kappa_edge`` must be finite and >= 0.
     """
     if not math.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")
+    if not (0 <= kappa_edge < math.inf and 0 <= n_1 < math.inf):
+        raise ValueError(f"kappa_edge and n_1 must be finite and >= 0, got {kappa_edge}, {n_1}")
     denom_rate = kappa_edge + mode.kappa
     if denom_rate <= 0:
         raise ValueError("kappa_edge + mode.kappa must be positive")

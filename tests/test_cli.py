@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from nhcool import oracle
-from nhcool.cli import build_parser, main
+from nhcool.cli import CHAIN_FLAGS, build_parser, main
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -320,6 +321,14 @@ class TestExitCodesAndDeterminism:
                      "--output", str(tmp_path / "z.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--output", "/nonexistent/dir/x.csv"],
+        ["--config", "/nonexistent/dir/config.json"],
+    ], ids=["output", "config"])
+    def test_io_error_exit_code(self, capsys, argv):
+        assert main(["steady", *argv]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["chain-profile", "--sizes", "5,10"]
@@ -493,6 +502,20 @@ class TestCliSurface:
         before = _run(tmp_path, "base", base)
         after = _run(tmp_path, "flag", base + [flag, LIVENESS_VALUES[command, flag]])
         assert before != after
+
+    def test_readme_command_table_matches_parser(self):
+        # the "command | chain flags | own flags" table lists every command's flags
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` \| `([^`]*)` \| `([^`]*)` \|$", readme, re.M)
+        chain_flags = {"--" + key.replace("_", "-") for key in CHAIN_FLAGS}
+        declared = {}
+        for command, flag in _declared_flags():
+            declared.setdefault(command, set()).add(flag)
+        table = {command: (set(chain.split()), set(own.split())) for command, chain, own in rows}
+        assert sorted(table) == sorted(declared)
+        for command, (chain, own) in table.items():
+            assert chain == declared[command] & chain_flags, command
+            assert own == declared[command] - chain_flags, command
 
     @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
     def test_removed_flag_is_usage_error(self, tmp_path, command, flag):

@@ -13,9 +13,11 @@ from nhcool import (
     ModeParams,
     SingularSystem,
     ToleranceNotMet,
+    Trajectory,
     build_hopping_matrix,
     closed_form_two_mode,
     covariance_rhs,
+    dynamics,
     evolve_covariance,
     make_uniform_chain,
     single_excitation_trace,
@@ -306,6 +308,19 @@ class TestEvolveCovariance:
         assert traj.times == pytest.approx(grid)
         assert traj.covariances.shape == (4, 2, 2)
 
+    def test_zero_t_end_reports_the_start(self):
+        # the default grid [0, t_end] collapses to the one time 0
+        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
+        cov0 = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
+        traj = evolve_covariance(spec, cov0, 0.0)
+        assert traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.covariances, cov0[None])
+
+    def test_rejects_wrongly_shaped_start(self):
+        spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
+        with pytest.raises(ValueError, match="covariance must be 3 x 3"):
+            evolve_covariance(spec, np.eye(2, dtype=complex), 1.0)
+
     def test_default_grid_is_start_and_end(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
         traj = evolve_covariance(spec, np.eye(2, dtype=complex), 3.0)
@@ -482,3 +497,24 @@ def test_direct_moment_solve_matches_rate_solver(spec):
     rate = solve_steady_chain(spec).occupations
     assert np.all(dyn >= 0.0)
     assert np.all(np.abs(dyn - rate) <= 1e-9 * rate)
+
+
+class TestTrajectory:
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Trajectory(times=np.array([0.0, 1.0]), occupations=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [1.0, 0.5], [-1.0, 0.0], [0.0, np.inf]])
+    def test_rejects_times_not_finite_nonnegative_and_increasing(self, times):
+        with pytest.raises(ValueError, match="finite, nonnegative and strictly increasing"):
+            Trajectory(times=np.array(times), occupations=np.zeros((len(times), 2)))
+
+    def test_engines_check_times_before_any_work(self, monkeypatch):
+        # with the operators' builders gone, only the time check can raise
+        spec = make_uniform_chain(2, 1.0, LN2, 0.01, 1.0)
+        monkeypatch.setattr(dynamics, "build_hopping_matrix", None)
+        monkeypatch.setattr(dynamics, "_MomentGenerator", None)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            single_excitation_trace(spec, 0, np.array([0.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evolve_covariance(spec, np.eye(2, dtype=complex), 2.0, t_eval=[0.5, 0.5])

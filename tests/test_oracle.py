@@ -109,6 +109,10 @@ class TestNumberState:
         with pytest.raises(ValueError):
             number_state(2, 3, (3, 0))
 
+    def test_rejects_wrong_number_of_occupations(self):
+        with pytest.raises(ValueError, match="one occupation per mode"):
+            number_state(2, 3, (1, 0, 0))
+
 
 class TestEvolveMasterEquation:
     def test_coherent_sector_matches_normalized_closed_form(self):
@@ -237,10 +241,11 @@ class TestEvolveMasterEquation:
 
     # cutoff 3 truncates the chain; the warning is expected here
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
-    @pytest.mark.parametrize("tau", [2e4, 1e5])
+    @pytest.mark.parametrize("tau", [2e4, 1e5, 1e308])
     def test_growth_past_double_range_stays_finite(self, tau):
         # three modes grow like exp(lambda_1 tau) with lambda_1 tau past 709:
-        # a single expm of L0 tau overflows to nan here
+        # a single expm of L0 tau overflows to nan here; at 1e308 even
+        # |L0| tau overflows, so the squarings are counted in logs
         spec = make_uniform_chain(3, 1.0, LN2, 0.05, 0.1)
         state = evolve_master_equation(spec, thermal_state(spec, 3), tau)
         assert np.all(np.isfinite(state.rho))
@@ -250,6 +255,28 @@ class TestEvolveMasterEquation:
         spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
         with pytest.raises(ValueError):
             evolve_master_equation(spec, thermal_state(spec, 3), -1.0)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, tau):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
+        with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+            evolve_master_equation(spec, thermal_state(spec, 3), tau)
+
+    def test_rejects_start_of_another_mode_count(self):
+        spec = make_uniform_chain(3, 1.0, LN2, 0.1, 0.2)
+        with pytest.raises(ValueError, match="different mode counts"):
+            evolve_master_equation(spec, number_state(2, 3, (1, 0)), 1.0)
+
+    def test_coherent_start_guards_the_union_of_its_sectors(self):
+        # vacuum plus one boson at 2 modes, cutoff 14: each sector is below the
+        # guard rail (1834 rows at difference 0, 1820 at +-1), but the one
+        # block that propagates them together has 5474 rows
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        psi = np.zeros(14**2)
+        psi[[0, 1]] = math.sqrt(0.5)
+        rho0 = FockDensityMatrix(np.outer(psi, psi).astype(complex), cutoff=14, n_modes=2)
+        with pytest.raises(DimensionTooLarge, match="5474 rows"):
+            evolve_master_equation(spec, rho0, 1.0)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):

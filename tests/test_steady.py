@@ -320,6 +320,24 @@ class TestPlateau:
         with pytest.raises(ValueError, match="not finite"):
             build_rate_matrix(make_uniform_chain(2, 1.0, asymmetry, 0.01, 1.0))
 
+    @pytest.mark.parametrize("coupling,kappa", [
+        (0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01), (1.0, 0.0), (1.0, -0.01), (1.0, math.nan),
+    ])
+    def test_rejects_nonpositive_coupling_or_kappa(self, coupling, kappa):
+        with pytest.raises(ValueError, match="coupling and kappa must be positive"):
+            plateau_limit(coupling, LN2, kappa, 1.0)
+
+    @pytest.mark.parametrize("kappa,n_th,message", [
+        (0.01, -1.0, "n_th must be finite and >= 0"),
+        (0.01, math.nan, "n_th must be finite and >= 0"),
+        (0.01, math.inf, "n_th must be finite and >= 0"),
+        (math.inf, 1.0, "kappa must be finite and >= 0"),
+    ])
+    def test_rejects_mode_not_finite_and_nonnegative(self, kappa, n_th, message):
+        # ModeParams' check, and its words
+        with pytest.raises(ValueError, match=message):
+            plateau_limit(1.0, LN2, kappa, n_th)
+
     def test_largest_finite_gap_keeps_the_formula(self):
         k2, gap = 0.01 * 0.01, math.exp(708.0) - math.exp(-708.0)
         assert plateau_limit(1.0, 354.0, 0.01, 1.0) == k2 / (k2 + gap)
@@ -437,6 +455,20 @@ class TestAttachedMode:
     def test_estimate_rejects_fully_decoupled(self):
         with pytest.raises(ValueError):
             attached_mode_estimate(ModeParams(0.0, 1.0), 0.0, 0.0, 0.1)
+
+    def test_estimate_rejects_decoupled_bathless_mode(self):
+        # the chain edge has a bath, so the rate denominator is positive, but
+        # neither a coupling nor a bath fixes the mode's occupation
+        with pytest.raises(ValueError, match="decoupled bathless mode"):
+            attached_mode_estimate(ModeParams(0.0, 1.0), 0.0, 0.01, 0.1)
+
+    @pytest.mark.parametrize("kappa_edge,n_1", [
+        (math.nan, 0.3), (math.inf, 0.3), (-0.01, 0.3),
+        (0.01, math.nan), (0.01, math.inf), (0.01, -0.3),
+    ])
+    def test_estimate_rejects_edge_not_finite_and_nonnegative(self, kappa_edge, n_1):
+        with pytest.raises(ValueError, match="kappa_edge and n_1 must be finite and >= 0"):
+            attached_mode_estimate(ModeParams(0.01, 1.0), 1.0, kappa_edge, n_1)
 
 
 # --- properties on random long chains -----------------------------------------

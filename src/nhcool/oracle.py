@@ -17,11 +17,18 @@ real part.  :func:`oracle_steady` computes it on the blocks of ``rho`` that
 are diagonal in total boson number (the only blocks the thermal start state
 reaches), while :func:`evolve_master_equation` applies the exact propagator
 ``rho0 -> exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` on one block, the union
-of the sectors that the start state occupies.  The operators and the ``L0``
-blocks are dense numpy arrays, and both solves on them are dense: one dense
-``expm`` per trajectory, and ``eigvals`` plus inverse iteration for the
-stationary state.  The Hilbert dimension and each Liouvillian block are
-capped at ``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
+of the sectors that the start state occupies.
+
+``L0`` is in Lindblad form, so it maps Hermitian matrices to Hermitian
+matrices.  On a set of index pairs closed under transposition, the real
+coordinates ``u = Re rho + Im rho``, pair by pair, describe every Hermitian
+``rho``, and ``L0`` acts on them as a real matrix of the same size whose
+complexification is ``L0``: it has exactly the spectrum of ``L0``.  The
+helper assembles that real block, and both solves work on it in real
+arithmetic: one dense real ``expm`` per trajectory, and real ``eigvals``
+plus inverse iteration with a real LU factorization for the stationary
+state.  The Hilbert dimension and each Liouvillian block are capped at
+``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
 ``scipy.linalg`` is imported on the first call that needs it.
 """
 
@@ -66,6 +73,14 @@ class FockDensityMatrix:
     rho: np.ndarray
     cutoff: int
     n_modes: int
+
+    def __post_init__(self) -> None:
+        shape = (self.cutoff**self.n_modes,) * 2
+        if np.shape(self.rho) != shape:
+            raise ValueError(
+                f"rho of shape {np.shape(self.rho)} does not fit {self.n_modes} modes "
+                f"at cutoff {self.cutoff}, which need {shape}"
+            )
 
     def trace_error(self) -> float:
         return abs(np.trace(self.rho) - 1.0)
@@ -151,44 +166,70 @@ def _number_totals(n_modes: int, cutoff: int) -> np.ndarray:
 
 def _sector_pairs(
     n_modes: int, cutoff: int, differences: tuple[int, ...] = (0,)
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs ``(a, b)`` of Fock states whose total boson numbers differ
-    by one of ``differences`` (``M_a - M_b``); ``L0`` maps each such sector of
-    ``rho``, and so their union, into itself.
+    by one of ``differences`` or its negative (``M_a - M_b``), and the
+    position ``swap[k]`` of the transposed pair ``(right[k], left[k])``.
 
+    ``L0`` maps each such sector of ``rho``, and so their union, into itself;
+    taking each difference with its negative closes the union under
+    transposition, which the real coordinates of :func:`_liouvillian` need.
     Raises :class:`DimensionTooLarge` when the union has more than
     ``MAX_DIMENSION`` pairs, before any Liouvillian is allocated.
     """
-    _check_dimension(n_modes, cutoff)
+    dim = _check_dimension(n_modes, cutoff)
     total = _number_totals(n_modes, cutoff)
+    signed = np.union1d(differences, np.negative(differences))
     sectors = [
         (np.flatnonzero(total == count), np.flatnonzero(total == count - difference))
-        for difference in differences
+        for difference in signed.tolist()
         for count in range(total.max() + 1)
     ]
     size = sum(len(lefts) * len(rights) for lefts, rights in sectors)
     if size > MAX_DIMENSION:
         raise DimensionTooLarge(
-            f"Liouvillian block of number differences {list(differences)} has {size} rows, "
+            f"Liouvillian block of number differences {signed.tolist()} has {size} rows, "
             f"exceeding the dense guard rail {MAX_DIMENSION}"
         )
     left = np.concatenate([np.repeat(lefts, len(rights)) for lefts, rights in sectors])
     right = np.concatenate([np.tile(rights, len(lefts)) for lefts, rights in sectors])
-    return left, right
+    keys = left * dim + right
+    order = np.argsort(keys)
+    swap = order[np.searchsorted(keys, right * dim + left, sorter=order)]
+    return left, right, swap
+
+
+def _to_real(rho: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """Real coordinates ``u = Re rho + Im rho`` of a Hermitian ``rho`` on a
+    transpose-closed set of pairs; on any other ``rho`` the complex-linear
+    extension, whose real and imaginary parts are the coordinates of its
+    Hermitian part and of its anti-Hermitian part over ``i``."""
+    return ((1 - 1j) * rho + (1 + 1j) * rho[swap]) / 2
+
+
+def _from_real(u: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """The ``rho`` with coordinates ``u``: the inverse of :func:`_to_real`."""
+    return ((1 + 1j) * u + (1 - 1j) * u[swap]) / 2
 
 
 def _liouvillian(
     spec: ChainSpec, cutoff: int, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """Dense block of the linear Liouvillian ``L0`` on the index pairs
-    ``(left[k], right[k])`` of ``rho``.
+    """Dense real block of the linear Liouvillian ``L0`` on the index pairs
+    ``(left[k], right[k])`` of ``rho``, in the coordinates of :func:`_to_real`.
 
     With ``rho`` flattened row-major, ``A rho B`` acts as ``kron(A, B.T)``, so
     (the ladder operators being real) ``L0`` is
-    ``kron(K, 1) + kron(1, conj(K)) + sum_i kron(o_i, o_i)``; the block keeps
-    its rows and columns on the given pairs, which is exact when ``L0`` maps
-    those pairs into themselves.  A mode without a bath, or at zero
-    temperature, contributes zero jump operators.
+    ``kron(K, 1) + kron(1, conj(K)) + sum_i kron(o_i, o_i)``, and its block
+    ``L`` keeps the rows and columns on the given pairs, which is exact when
+    ``L0`` maps those pairs into themselves.  ``L0`` maps Hermitian matrices
+    to Hermitian matrices, so on a transpose-closed set of pairs it is the
+    complexification of the real map ``u -> to_real(L from_real(u))``, whose
+    matrix ``Re L + (Im L)[:, swap]`` has exactly the spectrum of ``L``.  It
+    is assembled here without ``L``: ``Re L`` takes ``Re K`` in both
+    factors and ``(Im L)[:, swap]`` reads ``Im K`` at the transposed pairs.
+    A mode without a bath, or at zero temperature, contributes zero jump
+    operators.
     """
     n_modes = spec.n_modes
     single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
@@ -213,9 +254,14 @@ def _liouvillian(
     def block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a[np.ix_(left, left)] * b[np.ix_(right, right)]
 
+    def transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[np.ix_(left, right)] * b[np.ix_(right, left)]
+
     ident = np.eye(len(k_op))
-    liouvillian = block(k_op, ident)
-    liouvillian += block(ident, k_op.conj())
+    liouvillian = block(k_op.real, ident)
+    liouvillian += block(ident, k_op.real)
+    liouvillian += transposed(k_op.imag, ident)
+    liouvillian -= transposed(ident, k_op.imag)
     for jump in jumps:
         liouvillian += block(jump, jump)
     return liouvillian
@@ -231,21 +277,27 @@ def evolve_master_equation(
     ``rho(tau) = exp(L0 tau) rho0 / Tr(exp(L0 tau) rho0)`` solves
     ``rho' = L0 rho - Tr(L0 rho) rho`` exactly.  ``L0`` conserves the
     difference of the total boson numbers of a matrix element's two Fock
-    states, so it maps the union of the sectors that ``rho0`` occupies into
-    itself, and that one block is propagated by the dense
-    ``scipy.linalg.expm(t_end * L0)`` (scaling and squaring, Al-Mohy and
-    Higham 2009).  Past ``|L0 t_end|_1 = EXPM_NORM_LIMIT`` the exponential of
-    ``t_end * L0 / 2**s`` is squared ``s`` times here instead, rescaled before
-    each squaring so that the growth ``exp(lambda_1 t_end)`` cannot overflow.
-    The cost is O(n^3) in the block's rows ``n`` and grows only with
-    ``log(|L0| t_end)``.  A thermal or number state occupies sector 0 alone;
-    a coherent start pays ``(sum rows)**3``, not ``sum rows**3`` (393 rows
-    against 141 + 126 + 126 at three modes and cutoff 3).
+    states, so it maps the union of the sectors that ``rho0`` occupies, each
+    taken with its transpose, into itself.  On that one block ``L0`` is the
+    complexification of a real matrix (see :func:`_liouvillian`), propagated
+    by the dense real ``scipy.linalg.expm(t_end * R)`` (scaling and squaring,
+    Al-Mohy and Higham 2009).  ``rho0`` splits into a Hermitian part and
+    ``i`` times another Hermitian part; both have real coordinates, the one
+    real propagator moves both, and they are recombined, so a start that is
+    not Hermitian is propagated exactly too.  Past
+    ``|R t_end|_1 = EXPM_NORM_LIMIT`` the exponential of ``t_end * R / 2**s``
+    is squared ``s`` times here instead, rescaled before each squaring so
+    that the growth ``exp(lambda_1 t_end)`` cannot overflow.  The cost is
+    O(n^3) in the block's rows ``n`` and grows only with ``log(|R| t_end)``.
+    A thermal or number state occupies sector 0 alone; a coherent start pays
+    ``(sum rows)**3``, not ``sum rows**3`` (393 rows against 141 + 126 + 126
+    at three modes and cutoff 3).
 
     Raises
     ------
     ValueError
-        If ``t_end`` is not finite and >= 0 or ``rho0`` has another mode count.
+        If ``t_end`` is not finite and >= 0, ``rho0`` has another mode count
+        or ``rho0`` has no nonzero entry.
     DimensionTooLarge
         If the occupied sectors have more than ``MAX_DIMENSION`` rows together.
     """
@@ -257,8 +309,10 @@ def evolve_master_equation(
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     total = _number_totals(rho0.n_modes, rho0.cutoff)
     occupied = np.unique((total[:, None] - total[None, :])[rho0.rho != 0])
+    if not occupied.size:
+        raise ValueError("initial state has no nonzero entry")
     # the size guard runs before any operator is allocated
-    left, right = _sector_pairs(rho0.n_modes, rho0.cutoff, tuple(occupied.tolist()))
+    left, right, swap = _sector_pairs(rho0.n_modes, rho0.cutoff, tuple(occupied.tolist()))
     generator = _liouvillian(spec, rho0.cutoff, left, right)
     # exp(L0 tau) grows like exp(lambda_1 tau) and overflows at long times:
     # exponentiate a piece of norm <= EXPM_NORM_LIMIT, then square it back
@@ -273,8 +327,11 @@ def evolve_master_equation(
     for _ in range(squarings):
         propagator /= np.abs(propagator).max()
         propagator = propagator @ propagator
+    # the real and imaginary parts of the start's coordinates are those of
+    # its Hermitian part and of its anti-Hermitian part over i
+    start = _to_real(rho0.rho[left, right], swap)
     rho = np.zeros_like(rho0.rho, dtype=complex)
-    rho[left, right] = propagator @ rho0.rho[left, right]
+    rho[left, right] = _from_real(propagator @ start.real + 1j * (propagator @ start.imag), swap)
     state = FockDensityMatrix(
         rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
     )
@@ -287,15 +344,20 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
 
     The fixed point reached from the product thermal state is the leading
     eigenvector of the linear Liouvillian ``L0`` restricted to the blocks of
-    ``rho`` diagonal in total boson number, normalized to unit trace.  The
-    block's eigenvalues (no vectors) locate the leading one, ``lambda_1``;
-    two steps of inverse iteration with one LU factorization of
-    ``L0 - Re(lambda_1) - eps max|lambda|``, started from the thermal state
-    and normalized to unit trace after each step, give its eigenvector to
-    rounding; one rounding step past ``lambda_1``, the shift misses an exact
-    ``lambda_1`` (0 at ``n_th = 0``) yet stays far inside the checked gap.
-    ``L0`` maps the block into itself, so the residual
-    ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is evaluated on the same block.
+    ``rho`` diagonal in total boson number, normalized to unit trace.  That
+    block is closed under transposition, so all the work is done in real
+    arithmetic on the real matrix ``R`` of :func:`_liouvillian`, which has
+    exactly the spectrum of ``L0`` there.  Its eigenvalues (real ``eigvals``,
+    no vectors) locate the leading one, ``lambda_1``; two steps of inverse
+    iteration with one real LU factorization of
+    ``R - Re(lambda_1) - eps max|lambda|``, started from the real coordinates
+    of the thermal state and normalized to unit trace (the sum over the
+    diagonal pairs) after each step, give its eigenvector to rounding; one
+    rounding step past ``lambda_1``, the shift misses an exact ``lambda_1``
+    (0 at ``n_th = 0``) yet stays far inside the checked gap.  ``L0`` maps
+    the block into itself, so the residual
+    ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is evaluated on the same block,
+    on the ``rho`` that the coordinates describe.
 
     Raises
     ------
@@ -313,7 +375,7 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     kappa = spec.kappa_vector()
     if not np.all(kappa > 0):
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")
-    left, right = _sector_pairs(spec.n_modes, cutoff)
+    left, right, swap = _sector_pairs(spec.n_modes, cutoff)
     liouvillian = _liouvillian(spec, cutoff, left, right)
     evals = eigvals(liouvillian)
     order = np.argsort(evals.real)[::-1]
@@ -331,7 +393,7 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     shifted[np.diag_indices_from(shifted)] -= lead.real + np.finfo(float).eps * scale
     lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
     # start from the thermal state: the fixed point sought is the one its flow reaches
-    vec = thermal_state(spec, cutoff).rho[left, right]
+    vec = _to_real(thermal_state(spec, cutoff).rho[left, right], swap).real
     with np.errstate(all="ignore"):  # a singular factor gives inf or nan, caught below
         for _ in range(2):
             vec = lu_solve(lu, vec, check_finite=False)
@@ -339,13 +401,13 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     if not np.all(np.isfinite(vec)):
         raise SingularSystem("inverse iteration gave a non-finite leading eigenvector")
     flow = liouvillian @ vec
-    residual = float(np.abs(flow - flow[diagonal].sum() * vec).max())
+    residual = float(np.abs(_from_real(flow - flow[diagonal].sum() * vec, swap)).max())
     if residual > tol:
         raise ToleranceNotMet(
             f"stationary master-equation residual {residual:.3e} exceeds {tol:.3e}"
         )
     rho = np.zeros((cutoff**spec.n_modes,) * 2, dtype=complex)
-    rho[left, right] = vec
+    rho[left, right] = _from_real(vec, swap)
     state = FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=spec.n_modes)
     _warn_on_truncation(state)
     return state.occupations()

@@ -24,8 +24,15 @@ from nhcool import (
     oracle_steady,
     thermal_state,
 )
+from nhcool.oracle import _liouvillian, _sector_pairs
 
 LN2 = math.log(2.0)
+# a complex bond, a mode without a bath and a mode at zero temperature, whose
+# jump operators (both of the first, the up-jump of the second) are zero
+COMPLEX_IDLE_CHAIN = ChainSpec(
+    modes=(ModeParams(0.1, 0.2), ModeParams(0.0, 0.3), ModeParams(0.2, 0.0)),
+    bonds=(Bond(1.0 + 0.3j, 0.5 - 0.2j), Bond(0.8, 1.2)),
+)
 
 
 def rabi_closed_form(tau):
@@ -96,6 +103,11 @@ class TestThermalState:
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             thermal_state(make_uniform_chain(1, 1.0, 0.0, 0.05, 0.1), 1)
+
+
+def test_density_matrix_rejects_shape_of_another_space():
+    with pytest.raises(ValueError, match="does not fit 2 modes at cutoff 3"):
+        FockDensityMatrix(np.eye(4, dtype=complex), cutoff=3, n_modes=2)
 
 
 class TestNumberState:
@@ -197,14 +209,7 @@ class TestEvolveMasterEquation:
 
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
     @pytest.mark.parametrize("spec", [
-        make_uniform_chain(2, 1.0, LN2, 0.1, 0.2),
-        # a complex bond, a mode without a bath and a mode at zero temperature,
-        # whose jump operators (both of the first, the up-jump of the second)
-        # are zero
-        ChainSpec(
-            modes=(ModeParams(0.1, 0.2), ModeParams(0.0, 0.3), ModeParams(0.2, 0.0)),
-            bonds=(Bond(1.0 + 0.3j, 0.5 - 0.2j), Bond(0.8, 1.2)),
-        ),
+        make_uniform_chain(2, 1.0, LN2, 0.1, 0.2), COMPLEX_IDLE_CHAIN,
     ], ids=["2x3", "3x3-complex-idle-jumps"])
     def test_coherent_start_matches_full_space_expm(self, spec):
         # the vacuum plus one boson in the second-to-last mode (state 3)
@@ -222,6 +227,32 @@ class TestEvolveMasterEquation:
             state = evolve_master_equation(spec, rho0, tau)
             assert np.abs(state.rho - want).max() <= 1e-12
             assert abs(state.rho[0, 3]) > 1e-3
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_non_hermitian_start_matches_full_space_expm(self):
+        # |psi><phi| with psi = vacuum plus one boson in state 3 and phi the
+        # vacuum occupies number differences 0 and +1 but not -1, and its
+        # trace is nonzero
+        spec = COMPLEX_IDLE_CHAIN
+        psi = np.zeros(27)
+        psi[[0, 3]] = math.sqrt(0.5)
+        phi = np.zeros(27)
+        phi[0] = 1.0
+        rho0 = FockDensityMatrix(np.outer(psi, phi).astype(complex), cutoff=3, n_modes=3)
+        for tau in (0.5, 20.0):
+            vec = expm(tau * full_liouvillian(spec, 3)) @ rho0.rho.ravel()
+            want = vec.reshape(27, 27) / vec.reshape(27, 27).trace()
+            state = evolve_master_equation(spec, rho0, tau)
+            assert np.abs(state.rho - want).max() <= 1e-12
+            assert abs(state.rho[3, 0]) > 1e-3
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_thermal_start_stays_exactly_hermitian(self):
+        # the real coordinates describe Hermitian matrices only
+        spec = COMPLEX_IDLE_CHAIN
+        for tau in (0.5, 20.0):
+            state = evolve_master_equation(spec, thermal_state(spec, 3), tau)
+            assert state.hermiticity_error() == 0.0
 
     def test_long_time_trajectory_equals_stationary_state(self):
         # 344 rows; the spectral gap is 0.0434, so tau = 920 = 40 / gap leaves
@@ -266,6 +297,12 @@ class TestEvolveMasterEquation:
         spec = make_uniform_chain(3, 1.0, LN2, 0.1, 0.2)
         with pytest.raises(ValueError, match="different mode counts"):
             evolve_master_equation(spec, number_state(2, 3, (1, 0)), 1.0)
+
+    def test_rejects_start_without_nonzero_entry(self):
+        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
+        rho0 = FockDensityMatrix(np.zeros((9, 9), dtype=complex), cutoff=3, n_modes=2)
+        with pytest.raises(ValueError, match="no nonzero entry"):
+            evolve_master_equation(spec, rho0, 1.0)
 
     def test_coherent_start_guards_the_union_of_its_sectors(self):
         # vacuum plus one boson at 2 modes, cutoff 14: each sector is below the
@@ -327,6 +364,20 @@ class TestOracleSteady:
         # exactly zero pivot; the nudged shift still returns the vacuum exactly
         spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.0)
         assert oracle_steady(spec, 5).tolist() == [0.0, 0.0]
+
+    def test_real_block_has_the_spectrum_of_the_liouvillian(self):
+        spec = COMPLEX_IDLE_CHAIN
+        left, right, _ = _sector_pairs(3, 3)
+        real = _liouvillian(spec, 3, left, right)
+        assert real.dtype == np.float64
+        keep = left * 27 + right
+        want = np.linalg.eigvals(full_liouvillian(spec, 3)[np.ix_(keep, keep)])
+        got = np.linalg.eigvals(real)
+        # each eigenvalue of either block has a partner in the other
+        distance = np.abs(got[:, None] - want[None, :])
+        tol = 1e-12 * np.abs(want).max()
+        assert distance.min(axis=1).max() <= tol
+        assert distance.min(axis=0).max() <= tol
 
     def test_rejects_bathless_chain(self):
         with pytest.raises(SingularSystem):

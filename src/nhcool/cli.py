@@ -60,6 +60,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    if not rows:
+        raise ValueError("the requested grid is empty")
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"

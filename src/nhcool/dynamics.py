@@ -17,10 +17,10 @@ The moment equations are written once, as a sparse operator on the band
 (occupations and nearest-neighbour coherences; the other coherences only
 decay).  The band flow is affine, so :func:`evolve_covariance` applies its
 exact exponential, a dense numpy Taylor exponential with scaling and
-squaring.  Its fixed point is a sparse linear system that
-:func:`steady_from_dynamics` solves directly, in O(N) time and memory, and
-so cross-checks the stationary rate-equation solver without going through
-the rate formula.
+squaring that the Fock oracle's trajectories use too.  Its fixed point is
+a sparse linear system that :func:`steady_from_dynamics` solves directly,
+in O(N) time and memory, and so cross-checks the stationary rate-equation
+solver without going through the rate formula.
 
 scipy (``scipy.sparse`` for the operator, ``scipy.sparse.linalg`` for its
 LU) is imported on the first call that needs it, so importing this module
@@ -249,11 +249,16 @@ def _occupation_scale(n_th: np.ndarray) -> float:
 
 
 def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
-    """``exp(tau mat)`` by scaling and squaring with Taylor terms at 1-norm <= 1.
+    """``exp(tau mat)`` up to an exact power of two, by scaling and squaring
+    with Taylor terms at 1-norm <= 1 (Moler and Van Loan).
 
     ``j = ceil(log2 ||tau mat||_1)`` squarings bring ``tau mat / 2**j`` to
     1-norm ``theta <= 1``; its terms of degree ``m`` are bounded by
-    ``theta**m / m!`` and kept while that bound is above ``2**-54``.
+    ``theta**m / m!`` and kept while that bound is above ``2**-54``.  Before
+    each squaring the sum is multiplied by the power of two that brings its
+    largest entry into ``[1/2, 1)``, so a growing flow cannot overflow; the
+    product of those powers is the factor the caller must remove, and
+    scaling by a power of two rounds nothing.
     """
     out = np.eye(len(mat), dtype=mat.dtype)
     norm = float(np.abs(mat).sum(axis=0).max(initial=0.0))
@@ -267,6 +272,7 @@ def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
         term /= m
         out += term
     for _ in range(squarings):
+        out *= math.ldexp(1.0, -math.frexp(np.abs(out).max())[1])
         out = out @ out
     return out
 
@@ -285,13 +291,15 @@ def evolve_covariance(
     dense ``exp(tau S)`` by scaling and squaring with Taylor terms at 1-norm
     <= 1 (Moler and Van Loan): a few tens of ``rows**3`` products, growing
     only with ``log2 ||tau S||_1``, so a huge ``t_end`` costs about a
-    thousand squarings.  It holds about five ``rows x rows`` complex
-    matrices (0.7 GB at N = 1000); a step at tau = 200 took about 0.13 s at
-    N = 100 and 1.3 s at N = 200.  Neither the Pade ``scipy.linalg.expm`` (it lost all accuracy at
-    N = 100, tau = 200 on this non-normal operator) nor the matrix-free
-    ``expm_multiply`` (about 100 ms per step at tau = 200 whatever the row
-    count, much of it overhead) is used.  The entries off the band only
-    decay, as ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
+    thousand squarings.  The exponential comes back scaled by a power of
+    two, which dividing ``exp(tau S) [x0; 1]`` by its last entry removes
+    exactly.  It holds about five ``rows x rows`` complex matrices (0.7 GB
+    at N = 1000); a step at tau = 200 took about 0.13 s at N = 100 and
+    1.3 s at N = 200.  Neither scipy's Pade exponential (it lost all
+    accuracy at N = 100, tau = 200 on this non-normal operator) nor its
+    matrix-free action on a vector (about 100 ms per step at tau = 200
+    whatever the row count, much of it overhead) is used.  The entries off
+    the band only decay, as ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
 
     The reported times are ``t_eval``, nonempty and at most ``t_end``, or
     without it ``[0, t_end]`` (``[0]`` at ``t_end = 0``); :class:`Trajectory`
@@ -320,6 +328,7 @@ def evolve_covariance(
     covs = cov0 * np.exp(gen.decay * times[:, None, None])
     for k, step in enumerate(steps.tolist()):  # Python floats overflow quietly
         x = _expm_taylor(augmented, step) @ x
+        x /= x[-1]  # the last entry is the exponential's power of two, so this is exact
         covs[k].flat[gen.band_pos] = x[:-1]
     occupations = np.real(np.diagonal(covs, axis1=1, axis2=2))
     return Trajectory(times=times, occupations=occupations, covariances=covs)

@@ -25,11 +25,13 @@ coordinates ``u = Re rho + Im rho``, pair by pair, describe every Hermitian
 ``rho``, and ``L0`` acts on them as a real matrix of the same size whose
 complexification is ``L0``: it has exactly the spectrum of ``L0``.  The
 helper assembles that real block, and both solves work on it in real
-arithmetic: one dense real ``expm`` per trajectory, and real ``eigvals``
-plus inverse iteration with a real LU factorization for the stationary
-state.  The Hilbert dimension and each Liouvillian block are capped at
-``MAX_DIMENSION`` to keep desk-scale runs honest about their cost.
-``scipy.linalg`` is imported on the first call that needs it.
+arithmetic: one dense real exponential per trajectory, the Taylor
+exponential that also propagates the moments in :mod:`.dynamics`, and real
+``eigvals`` plus inverse iteration with a real LU factorization for the
+stationary state.  The Hilbert dimension and each Liouvillian block are
+capped at ``MAX_DIMENSION`` to keep desk-scale runs honest about their
+cost.  ``scipy.linalg`` is imported only by :func:`oracle_steady`, on its
+first call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .errors import (
     ToleranceNotMet,
     TruncationWarning,
 )
+from .dynamics import _expm_taylor
 from .model import ChainSpec, build_hopping_matrix
 
 __all__ = [
@@ -60,10 +63,6 @@ __all__ = [
 
 MAX_DIMENSION = 4096
 TOP_LEVEL_LIMIT = 1e-3
-# largest ||L0 tau||_1 handed to one expm: its entries stay below e^500, and
-# each squaring starts from a matrix rescaled to largest entry 1, so no
-# intermediate comes near the overflow at e^709
-EXPM_NORM_LIMIT = 500.0
 
 
 @dataclass(frozen=True)
@@ -280,15 +279,15 @@ def evolve_master_equation(
     states, so it maps the union of the sectors that ``rho0`` occupies, each
     taken with its transpose, into itself.  On that one block ``L0`` is the
     complexification of a real matrix (see :func:`_liouvillian`), propagated
-    by the dense real ``scipy.linalg.expm(t_end * R)`` (scaling and squaring,
-    Al-Mohy and Higham 2009).  ``rho0`` splits into a Hermitian part and
-    ``i`` times another Hermitian part; both have real coordinates, the one
-    real propagator moves both, and they are recombined, so a start that is
-    not Hermitian is propagated exactly too.  Past
-    ``|R t_end|_1 = EXPM_NORM_LIMIT`` the exponential of ``t_end * R / 2**s``
-    is squared ``s`` times here instead, rescaled before each squaring so
-    that the growth ``exp(lambda_1 t_end)`` cannot overflow.  The cost is
-    O(n^3) in the block's rows ``n`` and grows only with ``log(|R| t_end)``.
+    by the dense real Taylor exponential of ``t_end * R`` with scaling and
+    squaring that also propagates the moments in :mod:`.dynamics`.  It
+    rescales by a power of two before each squaring, so the growth
+    ``exp(lambda_1 t_end)`` cannot overflow, and the trace normalization
+    removes that scale.  ``rho0`` splits into a Hermitian part and ``i``
+    times another Hermitian part; both have real coordinates, the one real
+    propagator moves both, and they are recombined, so a start that is not
+    Hermitian is propagated exactly too.  The cost is O(n^3) in the block's
+    rows ``n`` and grows only with ``log(|R| t_end)``.
     A thermal or number state occupies sector 0 alone; a coherent start pays
     ``(sum rows)**3``, not ``sum rows**3`` (393 rows against 141 + 126 + 126
     at three modes and cutoff 3).
@@ -301,8 +300,6 @@ def evolve_master_equation(
     DimensionTooLarge
         If the occupied sectors have more than ``MAX_DIMENSION`` rows together.
     """
-    from scipy.linalg import expm
-
     if rho0.n_modes != spec.n_modes:
         raise ValueError("initial state and chain have different mode counts")
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -313,20 +310,8 @@ def evolve_master_equation(
         raise ValueError("initial state has no nonzero entry")
     # the size guard runs before any operator is allocated
     left, right, swap = _sector_pairs(rho0.n_modes, rho0.cutoff, tuple(occupied.tolist()))
-    generator = _liouvillian(spec, rho0.cutoff, left, right)
-    # exp(L0 tau) grows like exp(lambda_1 tau) and overflows at long times:
-    # exponentiate a piece of norm <= EXPM_NORM_LIMIT, then square it back
-    # up, dividing by its largest entry before each squaring; the trace
-    # normalization removes the divisors
-    norm = float(np.abs(generator).sum(axis=0).max())
-    squarings = 0
-    if norm * t_end > EXPM_NORM_LIMIT:  # counted in logs: norm * t_end may overflow
-        squarings = math.ceil(math.log2(norm / EXPM_NORM_LIMIT) + math.log2(t_end))
-    generator *= math.ldexp(t_end, -squarings)  # in place: one block-sized copy fewer at the peak
-    propagator = expm(generator)
-    for _ in range(squarings):
-        propagator /= np.abs(propagator).max()
-        propagator = propagator @ propagator
+    # exp(L0 tau) up to a power of two, which the trace normalization removes
+    propagator = _expm_taylor(_liouvillian(spec, rho0.cutoff, left, right), t_end)
     # the real and imaginary parts of the start's coordinates are those of
     # its Hermitian part and of its anti-Hermitian part over i
     start = _to_real(rho0.rho[left, right], swap)

@@ -307,6 +307,20 @@ class TestExitCodesAndDeterminism:
         assert main(["rabi", "--start-site", site, "--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--n-min", "5", "--n-max", "3"],
+        ["sweep-A", "--ea-count", "0"],
+        ["attached", "--kappa0-count", "0"],
+        ["scaling", "--kappas", ""],
+        ["chain-profile", "--sizes", ""],
+    ])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, argv):
+        # these wrote a header-only CSV and exited 0
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert "usage error: the requested grid is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [[1, 2], "n_modes"])
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, content):
         cfg = tmp_path / "bad.json"

@@ -395,6 +395,22 @@ class TestEvolveCovariance:
             want = np.array([float(mpmath.re(v)) for v in vec[:10]])
         assert traj.occupations[-1] == pytest.approx(want, rel=1e-11, abs=0)
 
+
+def test_exponential_of_a_growing_flow_stays_finite():
+    # exp(1000 mat) is about e^1000, past the double range: the exponential
+    # is returned up to a power of two, which dividing by the largest entry
+    # removes (the oracle's trace normalization does the same); the unscaled
+    # squarings returned inf here
+    mat = np.array([[1.0, 1.0], [0.0, 0.5]])
+    got = dynamics._expm_taylor(mat, 1000.0)
+    assert np.isfinite(got).all()
+    with mpmath.workdps(30):
+        ref = mpmath.expm(1000 * mpmath.matrix(mat.tolist()))
+        ref /= max(abs(v) for v in ref)
+        want = np.array(ref.tolist(), dtype=float)
+    assert np.abs(got / np.abs(got).max() - want).max() <= 1e-15
+
+
 class TestSteadyFromDynamics:
     def test_single_mode(self):
         ss = steady_from_dynamics(make_uniform_chain(1, 1.0, 0.0, 0.05, 0.8), tol=1e-6)

@@ -110,6 +110,18 @@ print(json.dumps(report))
 """
 
 
+_MASTER_EQUATION_SCRIPT = _PRELUDE + """
+from nhcool import evolve_master_equation, make_uniform_chain, thermal_state
+pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
+report = {
+    "evolve_master_equation": evolve_master_equation(
+        pair, thermal_state(pair, 3), 1.0).occupations().tolist(),
+    "scipy": scipy_modules(),
+}
+print(json.dumps(report))
+"""
+
+
 def _run_fresh(script: str, commands: list[list[str]], out_dir: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands), str(out_dir)],
@@ -144,6 +156,13 @@ def test_spectral_layer_loads_no_scipy(tmp_path):
     # the eigensolve is numpy's SVD; no layer of the spectral path needs scipy
     report = _run_fresh(_SPECTRAL_SCRIPT, [], tmp_path)
     assert [len(occ) for occ in report["occupations"]] == [1, 2, 7, 40]
+    assert report["scipy"] == []
+
+
+def test_master_equation_trajectory_loads_no_scipy(tmp_path):
+    # the exponential is the moment layer's numpy Taylor series
+    report = _run_fresh(_MASTER_EQUATION_SCRIPT, [], tmp_path)
+    assert len(report["evolve_master_equation"]) == 2
     assert report["scipy"] == []
 
 

@@ -10,21 +10,22 @@ Two engines live here because no single linear equation covers both regimes:
   linearized moment equations cannot reproduce (they would let the
   occupation dip below zero).
 * :func:`evolve_covariance` propagates the linearized equations of motion of
-  the second moments ``C[i, j] = <a_i^dag a_j>``, valid for small occupations
-  in the presence of dissipation.
+  the second moments ``C[i, j] = <a_i^dag a_j>`` in the presence of
+  dissipation, a linear map that need not keep ``C`` a state.
 
-The moment equations are written once, as a sparse operator on the band
-(occupations and nearest-neighbour coherences; the other coherences only
-decay).  The band flow is affine, so :func:`evolve_covariance` applies its
-exact exponential, a dense numpy Taylor exponential with scaling and
-squaring that the Fock oracle's trajectories use too.  Its fixed point is
-a sparse linear system that :func:`steady_from_dynamics` solves directly,
-in O(N) time and memory, and so cross-checks the stationary rate-equation
-solver without going through the rate formula.
+The moment equations are written once, as the triplets of an operator on the
+band (occupations and nearest-neighbour coherences, numbered site by site;
+the other coherences only decay), which in that order has two sub- and two
+superdiagonals.  The band flow is affine, so :func:`evolve_covariance`
+applies its exact exponential, a dense numpy Taylor exponential with scaling
+and squaring that the Fock oracle's trajectories use too.  Its fixed point is
+a banded linear system that :func:`steady_from_dynamics` solves directly with
+LAPACK's band LU, in O(N) time and memory, and so cross-checks the
+stationary rate-equation solver without going through the rate formula.
 
-scipy (``scipy.sparse`` for the operator, ``scipy.sparse.linalg`` for its
-LU) is imported on the first call that needs it, so importing this module
-costs no scipy start-up.
+Only :func:`steady_from_dynamics` loads scipy (``scipy.linalg``), on its
+first call, so importing this module and propagating the moments cost no
+scipy start-up.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularSystem, ToleranceNotMet
+from .errors import InvalidRegime, SingularSystem, ToleranceNotMet
 from .model import ChainSpec, build_hopping_matrix
 from .steady import SteadyState
 
@@ -71,9 +72,19 @@ class Trajectory:
             raise ValueError("times must be finite, nonnegative and strictly increasing")
         return times
 
+    @staticmethod
+    def check_end(t_end) -> float:
+        """``t_end`` as a float if finite and nonnegative."""
+        t_end = float(t_end)
+        if not (math.isfinite(t_end) and t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+        return t_end
+
 
 _LOG_TOL = -54 * math.log(2)  # half of 2**-53 per Taylor term
 _MAX_STEPS = 100_000
+_EPS = float(np.finfo(float).eps)
+_CONVERGED = 64 * _EPS  # change of a max-normalized power at the flow's limit
 
 
 def _taylor_terms(log_scale: float, log_start: float = 0.0) -> int:
@@ -184,26 +195,26 @@ class _MomentGenerator:
     size of an occupation and rewires the transport away from the
     nearest-neighbour rate picture).
 
-    The band (the ``N`` occupations, then ``C[k, k+1]``, then ``C[k+1, k]``)
-    therefore evolves on its own: ``system`` is the sparse ``(3N - 2)``-square
-    matrix of those equations and ``source`` the thermal pump, so
-    ``band(x) = system @ x + source`` is ``dC/dtau`` on the band.  Calling
-    the generator on a full ``N x N`` matrix adds the pure decay of the
-    entries off the band.
+    The band therefore evolves on its own.  Its unknowns are numbered by
+    site: ``n_k`` at ``3k``, ``C[k, k+1]`` at ``3k + 1`` and ``C[k+1, k]`` at
+    ``3k + 2``.  ``rows``, ``cols`` and ``vals`` are the triplets of the
+    ``(3N - 2)``-square operator ``L`` of those equations, which in this
+    order has two sub- and two superdiagonals, and ``source`` is the thermal
+    pump, so ``band(x) = L x + source`` is ``dC/dtau`` on the band.  Each
+    caller builds the form it needs from the triplets.  Calling the
+    generator on a full ``N x N`` matrix adds the pure decay of the entries
+    off the band.
     """
 
     def __init__(self, spec: ChainSpec):
-        import scipy.sparse as sp
-
         n = self.n = spec.n_modes
-        hop = build_hopping_matrix(spec)
-        t_fwd, t_bwd = hop.fwd, hop.bwd
+        self.hop = build_hopping_matrix(spec)
+        t_fwd, t_bwd = self.hop.fwd, self.hop.bwd
         self.kappa = spec.kappa_vector()
         self.n_th = spec.n_th_vector()
-        occ = np.arange(n)
-        up = n + np.arange(n - 1)
-        lo = up + (n - 1)
+        occ = 3 * np.arange(n)
         left, right = occ[:-1], occ[1:]
+        up, lo = left + 1, left + 2
         bond_decay = 0.5 * (self.kappa[:-1] + self.kappa[1:])
         # (row, column, coefficient) of every term of the equations on the band
         terms = [
@@ -215,19 +226,20 @@ class _MomentGenerator:
             (up, up, -bond_decay), (up, right, 1j * np.conj(t_bwd)), (up, left, -1j * t_fwd),
             (lo, lo, -bond_decay), (lo, left, 1j * np.conj(t_fwd)), (lo, right, -1j * t_bwd),
         ]
-        rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-        self.system = sp.csc_matrix((vals, (rows, cols)), shape=(3 * n - 2, 3 * n - 2))
+        self.rows, self.cols, self.vals = (np.concatenate(part) for part in zip(*terms))
         self.source = np.zeros(3 * n - 2, dtype=complex)
-        self.source[:n] = self.kappa * self.n_th
-        # flat positions of the band unknowns in a row-major N x N matrix
-        self.band_pos = np.concatenate([occ * (n + 1), left * n + right, right * n + left])
+        self.source[occ] = self.kappa * self.n_th
+        # flat positions of n_k, C[k, k+1], C[k+1, k] in a row-major N x N matrix
+        self.band_pos = np.add.outer(np.arange(n) * (n + 1), [0, 1, n]).ravel()[:3 * n - 2]
 
     @cached_property
     def decay(self) -> np.ndarray:
         return -0.5 * (self.kappa[:, None] + self.kappa[None, :])
 
     def band(self, x: np.ndarray) -> np.ndarray:
-        return self.system @ x + self.source
+        out = self.source.copy()
+        np.add.at(out, self.rows, self.vals * x[self.cols])
+        return out
 
     def __call__(self, cov: np.ndarray) -> np.ndarray:
         out = self.decay * cov
@@ -258,7 +270,11 @@ def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
     each squaring the sum is multiplied by the power of two that brings its
     largest entry into ``[1/2, 1)``, so a growing flow cannot overflow; the
     product of those powers is the factor the caller must remove, and
-    scaling by a power of two rounds nothing.
+    scaling by a power of two rounds nothing.  Once the power, divided by
+    its largest entry, differs from the one before by at most ``64 eps``,
+    the flow has reached its limit and further squarings would only add
+    rounding, so they are skipped: a huge ``tau`` costs about as many
+    squarings as the transient takes to die.
     """
     out = np.eye(len(mat), dtype=mat.dtype)
     norm = float(np.abs(mat).sum(axis=0).max(initial=0.0))
@@ -271,8 +287,14 @@ def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
         term = term @ scaled
         term /= m
         out += term
+    previous = None
     for _ in range(squarings):
-        out *= math.ldexp(1.0, -math.frexp(np.abs(out).max())[1])
+        top = float(np.abs(out).max())
+        direction = out / top
+        if previous is not None and np.abs(direction - previous).max() <= _CONVERGED:
+            break
+        previous = direction
+        out *= math.ldexp(1.0, -math.frexp(top)[1])
         out = out @ out
     return out
 
@@ -285,21 +307,27 @@ def evolve_covariance(
 ) -> Trajectory:
     """Propagate the linearized moment equations exactly up to ``t_end``.
 
-    The band evolves under the affine flow ``dx/dtau = system @ x + source``,
-    which the augmented matrix ``S = [[system, source], [0, 0]]`` (``3N - 1``
-    rows) acting on ``[x0; 1]`` makes linear.  Each reported step applies a
-    dense ``exp(tau S)`` by scaling and squaring with Taylor terms at 1-norm
-    <= 1 (Moler and Van Loan): a few tens of ``rows**3`` products, growing
-    only with ``log2 ||tau S||_1``, so a huge ``t_end`` costs about a
-    thousand squarings.  The exponential comes back scaled by a power of
-    two, which dividing ``exp(tau S) [x0; 1]`` by its last entry removes
-    exactly.  It holds about five ``rows x rows`` complex matrices (0.7 GB
-    at N = 1000); a step at tau = 200 took about 0.13 s at N = 100 and
-    1.3 s at N = 200.  Neither scipy's Pade exponential (it lost all
-    accuracy at N = 100, tau = 200 on this non-normal operator) nor its
-    matrix-free action on a vector (about 100 ms per step at tau = 200
-    whatever the row count, much of it overhead) is used.  The entries off
-    the band only decay, as ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
+    The band evolves under the affine flow ``dx/dtau = L x + source`` of the
+    generator's band operator ``L``, which the augmented matrix
+    ``S = [[L, source], [0, 0]]`` (``3N - 1`` rows) acting on ``[x0; 1]``
+    makes linear.  Each reported step applies a dense ``exp(tau S)`` from
+    :func:`_expm_taylor`: a few tens of ``rows**3`` products, growing with
+    ``log2 ||tau S||_1`` only until the flow has converged, so a huge
+    ``t_end`` costs a few squarings more than the transient needs.  The
+    exponential comes back scaled by a power of two, which dividing
+    ``exp(tau S) [x0; 1]`` by its last entry removes exactly.  It holds
+    about five ``rows x rows`` complex matrices (0.7 GB at N = 1000); a step
+    at tau = 200 took about 0.13 s at N = 100 and 1.3 s at N = 200.  The
+    entries off the band only decay, as
+    ``C_ij(0) exp(-(kappa_i + kappa_j) tau / 2)``.
+
+    This propagates the linear map of the moment equations, not a state.
+    The band flow is not of Lyapunov form, so it need not keep ``C``
+    positive semidefinite, and the occupations can go negative on the way
+    to the stationary state: from ``C0 = I`` (``n_th = 1``) on uniform
+    ``e^A = 2`` chains at ``kappa = 0.01`` the smallest reaches -0.19 at
+    N = 2, -206 at N = 10 and -1.4e8 at N = 30.  Nothing here checks that
+    the returned moments describe a state.
 
     The reported times are ``t_eval``, nonempty and at most ``t_end``, or
     without it ``[0, t_end]`` (``[0]`` at ``t_end = 0``); :class:`Trajectory`
@@ -309,9 +337,7 @@ def evolve_covariance(
     ``e^A = 2`` the long-time state is off by about 1e-6 at N = 40 and 0.1
     at N = 60, so take stationary states from :func:`steady_from_dynamics`.
     """
-    t_end = float(t_end)
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    t_end = Trajectory.check_end(t_end)
     times = Trajectory.check_times(np.unique([0.0, t_end]) if t_eval is None else t_eval)
     if not (times.size and times[-1] <= t_end):
         raise ValueError(f"t_eval must be nonempty and end at or before t_end = {t_end}")
@@ -322,7 +348,7 @@ def evolve_covariance(
     gen = _MomentGenerator(spec)
     steps = np.diff(times, prepend=0.0)
     augmented = np.zeros((3 * n - 1, 3 * n - 1), dtype=complex)
-    augmented[:-1, :-1] = gen.system.toarray()
+    augmented[gen.rows, gen.cols] = gen.vals
     augmented[:-1, -1] = gen.source
     x = np.append(cov0.flat[gen.band_pos], 1.0)
     covs = cov0 * np.exp(gen.decay * times[:, None, None])
@@ -339,36 +365,56 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
 
     Under the bond-local closure the coherences between non-bonded modes only
     decay, so the fixed point lives on the band: the ``N`` occupations and the
-    ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  The
-    generator's band operator is factored by sparse LU and the solve takes
-    one step of iterative refinement.  ``residual`` is the max-norm of
-    ``dC/dtau`` at the returned state, evaluated on the band.
+    ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  Numbered
+    by site, the generator's operator has two sub- and two superdiagonals,
+    so its triplets fill LAPACK's five-row band storage, solved by the band
+    LU with partial pivoting of ``scipy.linalg.solve_banded`` plus one step
+    of iterative refinement.  ``residual`` is the max-norm of ``dC/dtau`` at
+    the returned state, evaluated on the band.
+
+    Eliminating a bond's coherences gives the rate
+    ``2 (|t_fwd|**2 + t_fwd t_bwd) / (kappa_i + kappa_j)``, and its mirror,
+    so the fixed point is real only where every product ``t_fwd t_bwd`` is
+    real, and nonnegative only where those rates are.
 
     Raises
     ------
     SingularSystem
         If some mode carries no dissipation (the transient never dies), or
         the stationary system is numerically singular.
+    InvalidRegime
+        If a bond's product ``t_fwd t_bwd`` is not real, or makes one of its
+        two rates negative.
     ToleranceNotMet
         If the residual exceeds ``tol * max(kappa) * max(n_th)``.
     """
-    from scipy.sparse.linalg import splu
+    from scipy.linalg import LinAlgError, solve_banded
 
     gen = _MomentGenerator(spec)
     if not np.all(gen.kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")
-    try:
-        lu = splu(gen.system)
-    except RuntimeError as exc:
-        raise SingularSystem(f"the stationary moment system is singular: {exc}") from exc
+    t_fwd, t_bwd = gen.hop.fwd, gen.hop.bwd
+    product = t_fwd * t_bwd
+    slack = np.minimum(np.abs(t_fwd), np.abs(t_bwd)) ** 2 + product.real
+    bad = np.flatnonzero((np.abs(product.imag) > 8 * _EPS * np.abs(product)) | (slack < 0))
+    if bad.size:
+        raise InvalidRegime(
+            f"bond {bad[0]} has t_fwd t_bwd = {product[bad[0]]:.6g}; the moment fixed point "
+            "is a state only where every product is real and |t|^2 + t_fwd t_bwd >= 0"
+        )
+    bands = np.zeros((5, 3 * gen.n - 2), dtype=complex)
+    bands[2 + gen.rows - gen.cols, gen.cols] = gen.vals
     # One refinement step makes the LU solve componentwise backward stable,
     # which keeps the smallest occupations accurate to a few ulps.
-    x = lu.solve(-gen.source)
-    x -= lu.solve(gen.band(x))
+    try:
+        x = solve_banded((2, 2), bands, -gen.source)
+        x -= solve_banded((2, 2), bands, gen.band(x))
+    except LinAlgError as exc:
+        raise SingularSystem(f"the stationary moment system is singular: {exc}") from exc
     residual = float(np.abs(gen.band(x)).max())
     threshold = tol * float(gen.kappa.max()) * _occupation_scale(gen.n_th)
     if residual > threshold:
         raise ToleranceNotMet(
             f"stationary moment residual {residual:.3e} exceeds {threshold:.3e}"
         )
-    return SteadyState(occupations=np.real(x[:gen.n]).copy(), residual=residual)
+    return SteadyState(occupations=np.real(x[::3]).copy(), residual=residual)

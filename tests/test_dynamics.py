@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from nhcool import (
     Bond,
     ChainSpec,
+    InvalidRegime,
     ModeParams,
     SingularSystem,
     ToleranceNotMet,
@@ -38,7 +39,7 @@ def jittered_chain(n_modes, seed):
 
 
 def band_generator(spec):
-    """``[[system, source], [0, 0]]`` on the band, probed from covariance_rhs."""
+    """``[[L, source], [0, 0]]`` on the band, probed from covariance_rhs."""
     n = spec.n_modes
     pos = [(i, i) for i in range(n)]
     pos += [(k, k + 1) for k in range(n - 1)] + [(k + 1, k) for k in range(n - 1)]
@@ -372,7 +373,8 @@ class TestEvolveCovariance:
             evolve_covariance(spec, np.eye(2, dtype=complex), t_end)
 
     def test_huge_t_end_returns_stationary_state(self):
-        # about 1000 squarings; measured 9.1e-14
+        # the squarings stop once the flow has converged, not after the
+        # thousand that tau = 1e300 would scale to; measured 9.1e-14
         spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
         traj = evolve_covariance(spec, np.eye(3, dtype=complex), 1e300)
         want = steady_from_dynamics(spec).occupations
@@ -461,6 +463,30 @@ class TestSteadyFromDynamics:
         rate = solve_steady_chain(spec).occupations
         assert rate.min() < 1e-14
         assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
+
+    # two modes as in the complex evolve_covariance test: eliminating a bond's
+    # coherences gives the rate 2 (|t_fwd|^2 + t_fwd t_bwd) / (kappa_i + kappa_j)
+    @pytest.mark.parametrize(
+        "bond",
+        [
+            Bond(0.6 + 0.3j, 0.8 - 0.2j),  # product 0.54 + 0.12i: complex occupations
+            Bond(2.0, 0.3j),  # product 0.6i
+            Bond(1j, 2j),  # product -2: a negative rate, as build_rate_matrix finds
+        ],
+    )
+    def test_rejects_bonds_without_a_real_nonnegative_fixed_point(self, bond):
+        spec = ChainSpec(modes=(ModeParams(0.05, 0.9), ModeParams(0.12, 0.2)), bonds=(bond,))
+        with pytest.raises(InvalidRegime, match="t_fwd t_bwd"):
+            steady_from_dynamics(spec)
+
+    def test_complex_bond_with_a_real_positive_product_solves(self):
+        spec = ChainSpec(
+            modes=(ModeParams(0.05, 0.9), ModeParams(0.12, 0.2)),
+            bonds=(Bond(0.5 + 0.5j, 0.5 - 0.5j),),
+        )
+        dyn = steady_from_dynamics(spec).occupations
+        rate = solve_steady_chain(spec).occupations
+        assert dyn == pytest.approx(rate, rel=1e-14, abs=0.0)
 
     @staticmethod
     def _check_small_kappa_chain(n):

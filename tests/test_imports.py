@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Commands that must run without loading any scipy module.
@@ -52,72 +54,49 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
-_DEFERRED_SCRIPT = _PRELUDE + """
+# Library calls that run on numpy alone: the moment and master-equation
+# trajectories use the moment layer's numpy Taylor exponential, and the
+# spectral eigensolve is numpy's SVD.  The modules are recorded after each
+# layer's calls, so each test below checks only what its own layer loaded.
+_NUMPY_ONLY_SCRIPT = _PRELUDE + """
 import numpy as np
 from nhcool import (
-    covariance_rhs, evolve_covariance,
-    evolve_master_equation, make_uniform_chain, oracle_steady, steady_from_dynamics,
-    thermal_state,
+    build_hopping_matrix, covariance_rhs, diagonalize, evolve_covariance,
+    evolve_master_equation, localization_profile, make_uniform_chain,
+    spectral_occupations, thermal_state,
 )
 spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
 pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
 report = {
-    "steady_from_dynamics": steady_from_dynamics(spec).occupations.tolist(),
     "covariance_rhs": covariance_rhs(spec, np.eye(3)).real.diagonal().tolist(),
-    "oracle_steady": oracle_steady(pair, 3).tolist(),
-    "evolve_covariance": evolve_covariance(spec, np.eye(3), 1.0).occupations[-1].tolist(),
-    "evolve_master_equation": evolve_master_equation(
-        pair, thermal_state(pair, 3), 1.0).occupations().tolist(),
-    "commands": [[argv, run(argv, sys.argv[2])] for argv in json.loads(sys.argv[1])],
-    "scipy": scipy_modules(),
+    "evolve_covariance": evolve_covariance(
+        spec, np.eye(3), 200.0, t_eval=[0.5, 20.0, 200.0]).occupations.tolist(),
 }
-print(json.dumps(report))
-"""
-
-_DYNAMICS_SCRIPT = _PRELUDE + """
-import numpy as np
-from nhcool import evolve_covariance, make_uniform_chain
-spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
-traj = evolve_covariance(spec, np.eye(3), 200.0, t_eval=[0.5, 20.0, 200.0])
-report = {"occupations": traj.occupations.tolist(), "scipy": scipy_modules()}
-print(json.dumps(report))
-"""
-
-_SPECTRAL_SCRIPT = _PRELUDE + """
-from nhcool import (
-    build_hopping_matrix, diagonalize, localization_profile,
-    make_uniform_chain, spectral_occupations,
-)
-report = {"occupations": [], "scipy": []}
+report["after_covariance"] = scipy_modules()
+report["spectral_occupations"] = []
 for n in (1, 2, 7, 40):
     dec = diagonalize(build_hopping_matrix(make_uniform_chain(n, 1.0, 0.5, 0.0, 1.0)))
-    report["occupations"].append(spectral_occupations(dec, 1.0).tolist())
+    report["spectral_occupations"].append(spectral_occupations(dec, 1.0).tolist())
     localization_profile(dec), dec.hermitian_eigenvectors, dec.right_eigenvectors
+report["after_spectral"] = scipy_modules()
+report["evolve_master_equation"] = evolve_master_equation(
+    pair, thermal_state(pair, 3), 1.0).occupations().tolist()
+report["after_master_equation"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+# The stationary solves that load scipy.linalg, then the commands that call
+# them; the modules are recorded after each call.
+_DEFERRED_SCRIPT = _PRELUDE + """
+from nhcool import make_uniform_chain, oracle_steady, steady_from_dynamics
+spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
+pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
+report = {"steady_from_dynamics": steady_from_dynamics(spec).occupations.tolist()}
+report["after_steady_from_dynamics"] = scipy_modules()
+report["oracle_steady"] = oracle_steady(pair, 3).tolist()
+report["after_oracle_steady"] = scipy_modules()
+report["commands"] = [[argv, run(argv, sys.argv[2])] for argv in json.loads(sys.argv[1])]
 report["scipy"] = scipy_modules()
-print(json.dumps(report))
-"""
-
-_ORACLE_SCRIPT = _PRELUDE + """
-from nhcool import evolve_master_equation, make_uniform_chain, oracle_steady, thermal_state
-pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
-report = {
-    "oracle_steady": oracle_steady(pair, 3).tolist(),
-    "evolve_master_equation": evolve_master_equation(
-        pair, thermal_state(pair, 3), 1.0).occupations().tolist(),
-    "scipy": scipy_modules(),
-}
-print(json.dumps(report))
-"""
-
-
-_MASTER_EQUATION_SCRIPT = _PRELUDE + """
-from nhcool import evolve_master_equation, make_uniform_chain, thermal_state
-pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
-report = {
-    "evolve_master_equation": evolve_master_equation(
-        pair, thermal_state(pair, 3), 1.0).occupations().tolist(),
-    "scipy": scipy_modules(),
-}
 print(json.dumps(report))
 """
 
@@ -134,6 +113,18 @@ def _run_fresh(script: str, commands: list[list[str]], out_dir: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+# Each probe starts one interpreter, shared by the tests that read its report.
+@pytest.fixture(scope="module")
+def numpy_only_report(tmp_path_factory):
+    return _run_fresh(_NUMPY_ONLY_SCRIPT, [], tmp_path_factory.mktemp("numpy_only"))
+
+
+@pytest.fixture(scope="module")
+def deferred_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("deferred")
+    return _run_fresh(_DEFERRED_SCRIPT, SCIPY_USING, out_dir), out_dir
+
+
 def test_package_and_numpy_only_commands_load_no_scipy(tmp_path):
     report = _run_fresh(_SCIPY_FREE_SCRIPT, SCIPY_FREE, tmp_path)
     assert report["import"] == []
@@ -143,48 +134,42 @@ def test_package_and_numpy_only_commands_load_no_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_FREE)
 
 
-def test_covariance_propagation_loads_no_sparse_linalg(tmp_path):
-    # the exponential is numpy's; the generator's scipy.sparse may load,
-    # expm_multiply's module may not
-    report = _run_fresh(_DYNAMICS_SCRIPT, [], tmp_path)
-    assert len(report["occupations"]) == 3
-    assert "scipy.sparse" in report["scipy"]
-    assert "scipy.sparse.linalg" not in report["scipy"]
+def test_covariance_propagation_loads_no_sparse_linalg(numpy_only_report):
+    # the generator is a triplet list and the exponential is numpy's; no
+    # scipy module loads, sparse or otherwise
+    assert len(numpy_only_report["covariance_rhs"]) == 3
+    assert [len(occ) for occ in numpy_only_report["evolve_covariance"]] == [3, 3, 3]
+    assert numpy_only_report["after_covariance"] == []
 
 
-def test_spectral_layer_loads_no_scipy(tmp_path):
+def test_spectral_layer_loads_no_scipy(numpy_only_report):
     # the eigensolve is numpy's SVD; no layer of the spectral path needs scipy
-    report = _run_fresh(_SPECTRAL_SCRIPT, [], tmp_path)
-    assert [len(occ) for occ in report["occupations"]] == [1, 2, 7, 40]
-    assert report["scipy"] == []
+    occupations = numpy_only_report["spectral_occupations"]
+    assert [len(occ) for occ in occupations] == [1, 2, 7, 40]
+    assert numpy_only_report["after_spectral"] == []
 
 
-def test_master_equation_trajectory_loads_no_scipy(tmp_path):
+def test_master_equation_trajectory_loads_no_scipy(numpy_only_report):
     # the exponential is the moment layer's numpy Taylor series
-    report = _run_fresh(_MASTER_EQUATION_SCRIPT, [], tmp_path)
-    assert len(report["evolve_master_equation"]) == 2
-    assert report["scipy"] == []
+    assert len(numpy_only_report["evolve_master_equation"]) == 2
+    assert numpy_only_report["after_master_equation"] == []
 
 
-def test_deferred_scipy_imports_resolve(tmp_path):
-    report = _run_fresh(_DEFERRED_SCRIPT, SCIPY_USING, tmp_path)
+def test_deferred_scipy_imports_resolve(deferred_run):
+    report, out_dir = deferred_run
     assert len(report["steady_from_dynamics"]) == 3
-    assert len(report["covariance_rhs"]) == 3
-    assert len(report["oracle_steady"]) == 2
-    assert len(report["evolve_covariance"]) == 3
-    assert len(report["evolve_master_equation"]) == 2
     for argv, code in report["commands"]:
         assert code == 0, argv
-    assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(report["scipy"])
-    # both trajectories are exact propagations; no integrator is loaded
-    assert not [m for m in report["scipy"] if m.startswith("scipy.integrate")]
-    assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_USING)
+    # the moment solve is LAPACK's band LU: scipy.linalg, and no sparse
+    # module or integrator, also once the commands have run
+    assert "scipy.linalg" in report["after_steady_from_dynamics"]
+    assert not [m for m in report["scipy"] if m.startswith(("scipy.sparse", "scipy.integrate"))]
+    assert len(list(out_dir.glob("*.csv"))) == len(SCIPY_USING)
 
 
-def test_oracle_is_dense(tmp_path):
-    # both oracle solves are dense: scipy.linalg, and no scipy.sparse module
-    report = _run_fresh(_ORACLE_SCRIPT, [], tmp_path)
+def test_oracle_is_dense(deferred_run):
+    # the oracle's stationary solve is dense: scipy.linalg, and no scipy.sparse module
+    report, _ = deferred_run
     assert len(report["oracle_steady"]) == 2
-    assert len(report["evolve_master_equation"]) == 2
-    assert "scipy.linalg" in report["scipy"]
-    assert not [m for m in report["scipy"] if m.startswith("scipy.sparse")]
+    assert "scipy.linalg" in report["after_oracle_steady"]
+    assert not [m for m in report["after_oracle_steady"] if m.startswith("scipy.sparse")]

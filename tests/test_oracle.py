@@ -24,6 +24,7 @@ from nhcool import (
     oracle_steady,
     thermal_state,
 )
+from nhcool.dynamics import _expm_taylor
 from nhcool.oracle import _liouvillian, _sector_pairs
 
 LN2 = math.log(2.0)
@@ -281,6 +282,18 @@ class TestEvolveMasterEquation:
         state = evolve_master_equation(spec, thermal_state(spec, 3), tau)
         assert np.all(np.isfinite(state.rho))
         assert state.occupations() == pytest.approx(oracle_steady(spec, 3), rel=1e-12, abs=0)
+
+    def test_squarings_stop_once_the_flow_has_converged(self):
+        # tau = 2**60 and 2**1000 scale the block to the same Taylor sum; the
+        # flow converges after about 15 squarings, so stopping there leaves
+        # the two equal, where squaring on to 60-odd or 1000-odd squarings
+        # adds rounding
+        spec = make_uniform_chain(3, 1.0, LN2, 0.05, 0.1)
+        left, right, _ = _sector_pairs(3, 3)
+        block = _liouvillian(spec, 3, left, right)
+        assert block.shape == (141, 141)
+        short, huge = (_expm_taylor(block, 2.0**k) for k in (60, 1000))
+        assert np.array_equal(short / np.abs(short).max(), huge / np.abs(huge).max())
 
     def test_rejects_negative_time(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)

@@ -201,9 +201,9 @@ class _MomentGenerator:
     ``(3N - 2)``-square operator ``L`` of those equations, which in this
     order has two sub- and two superdiagonals, and ``source`` is the thermal
     pump, so ``band(x) = L x + source`` is ``dC/dtau`` on the band.  Each
-    caller builds the form it needs from the triplets.  Calling the
-    generator on a full ``N x N`` matrix adds the pure decay of the entries
-    off the band.
+    caller builds the form it needs from the triplets.  ``decay`` holds the
+    rates ``-(kappa_i + kappa_j) / 2`` at which the entries off the band
+    decay.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -241,11 +241,6 @@ class _MomentGenerator:
         np.add.at(out, self.rows, self.vals * x[self.cols])
         return out
 
-    def __call__(self, cov: np.ndarray) -> np.ndarray:
-        out = self.decay * cov
-        out.flat[self.band_pos] = self.band(cov.flat[self.band_pos])
-        return out
-
 
 def covariance_rhs(spec: ChainSpec, cov: np.ndarray) -> np.ndarray:
     """Time derivative of the second-moment matrix ``<a_i^dag a_j>``."""
@@ -253,11 +248,10 @@ def covariance_rhs(spec: ChainSpec, cov: np.ndarray) -> np.ndarray:
     n = spec.n_modes
     if cov.shape != (n, n):
         raise ValueError(f"covariance must be {n} x {n}, got {cov.shape}")
-    return _MomentGenerator(spec)(cov)
-
-
-def _occupation_scale(n_th: np.ndarray) -> float:
-    return float(n_th.max()) if n_th.size and n_th.max() > 0 else 1.0
+    gen = _MomentGenerator(spec)
+    out = gen.decay * cov
+    out.flat[gen.band_pos] = gen.band(cov.flat[gen.band_pos])
+    return out
 
 
 def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
@@ -274,10 +268,14 @@ def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
     its largest entry, differs from the one before by at most ``64 eps``,
     the flow has reached its limit and further squarings would only add
     rounding, so they are skipped: a huge ``tau`` costs about as many
-    squarings as the transient takes to die.
+    squarings as the transient takes to die.  A 1-norm that is not finite
+    raises ``ValueError``.
     """
     out = np.eye(len(mat), dtype=mat.dtype)
-    norm = float(np.abs(mat).sum(axis=0).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(mat).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError(f"the operator's 1-norm is {norm}; its entries overflow the double range")
     if not norm * tau > 0:  # exp(tau mat) = I to double precision
         return out
     squarings = max(0, math.ceil(math.log2(norm) + math.log2(tau)))  # no overflow at huge tau
@@ -332,10 +330,11 @@ def evolve_covariance(
     The reported times are ``t_eval``, nonempty and at most ``t_end``, or
     without it ``[0, t_end]`` (``[0]`` at ``t_end = 0``); :class:`Trajectory`
     requires them finite, nonnegative and strictly increasing.  ``t_end``
-    must be finite and nonnegative.  The transient grows by about ``e^A``
-    per mode before it decays, and its rounding stays behind: at
-    ``e^A = 2`` the long-time state is off by about 1e-6 at N = 40 and 0.1
-    at N = 60, so take stationary states from :func:`steady_from_dynamics`.
+    must be finite and nonnegative, and ``S`` must have a finite 1-norm
+    (else ``ValueError``).  The transient grows by about ``e^A`` per mode
+    before it decays, and its rounding stays behind: at ``e^A = 2`` the
+    long-time state is off by about 1e-6 at N = 40 and 0.1 at N = 60, so
+    take stationary states from :func:`steady_from_dynamics`.
     """
     t_end = Trajectory.check_end(t_end)
     times = Trajectory.check_times(np.unique([0.0, t_end]) if t_eval is None else t_eval)
@@ -367,10 +366,10 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     decay, so the fixed point lives on the band: the ``N`` occupations and the
     ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  Numbered
     by site, the generator's operator has two sub- and two superdiagonals,
-    so its triplets fill LAPACK's five-row band storage, solved by the band
-    LU with partial pivoting of ``scipy.linalg.solve_banded`` plus one step
-    of iterative refinement.  ``residual`` is the max-norm of ``dC/dtau`` at
-    the returned state, evaluated on the band.
+    so its triplets fill LAPACK's band storage, factored once by the band LU
+    with partial pivoting of ``zgbsv``; one step of iterative refinement
+    reuses the factors (``zgbtrs``).  ``residual`` is the max-norm of
+    ``dC/dtau`` at the returned state, evaluated on the band.
 
     Eliminating a bond's coherences gives the rate
     ``2 (|t_fwd|**2 + t_fwd t_bwd) / (kappa_i + kappa_j)``, and its mirror,
@@ -379,6 +378,8 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
 
     Raises
     ------
+    ValueError
+        If an entry of the system, or of the residual it refines, overflows.
     SingularSystem
         If some mode carries no dissipation (the transient never dies), or
         the stationary system is numerically singular.
@@ -388,7 +389,7 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     ToleranceNotMet
         If the residual exceeds ``tol * max(kappa) * max(n_th)``.
     """
-    from scipy.linalg import LinAlgError, solve_banded
+    from scipy.linalg.lapack import zgbsv, zgbtrs
 
     gen = _MomentGenerator(spec)
     if not np.all(gen.kappa > 0):
@@ -402,17 +403,22 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
             f"bond {bad[0]} has t_fwd t_bwd = {product[bad[0]]:.6g}; the moment fixed point "
             "is a state only where every product is real and |t|^2 + t_fwd t_bwd >= 0"
         )
-    bands = np.zeros((5, 3 * gen.n - 2), dtype=complex)
-    bands[2 + gen.rows - gen.cols, gen.cols] = gen.vals
+    # L[i, j] sits at bands[4 + i - j, j]; the top two rows hold the LU's fill-in
+    bands = np.zeros((7, 3 * gen.n - 2), dtype=complex)
+    bands[4 + gen.rows - gen.cols, gen.cols] = gen.vals
+    if not (np.isfinite(bands).all() and np.isfinite(gen.source).all()):
+        raise ValueError("the stationary moment system has an entry that is not finite")
+    lu, piv, x, info = zgbsv(2, 2, bands, -gen.source, overwrite_ab=True)
+    if info > 0:
+        raise SingularSystem(f"the stationary moment system is singular: pivot {info} is zero")
     # One refinement step makes the LU solve componentwise backward stable,
     # which keeps the smallest occupations accurate to a few ulps.
-    try:
-        x = solve_banded((2, 2), bands, -gen.source)
-        x -= solve_banded((2, 2), bands, gen.band(x))
-    except LinAlgError as exc:
-        raise SingularSystem(f"the stationary moment system is singular: {exc}") from exc
+    flow = gen.band(x)
+    if not np.isfinite(flow).all():
+        raise ValueError("the stationary moment residual is not finite")
+    x -= zgbtrs(lu, 2, 2, flow, piv)[0]
     residual = float(np.abs(gen.band(x)).max())
-    threshold = tol * float(gen.kappa.max()) * _occupation_scale(gen.n_th)
+    threshold = tol * float(gen.kappa.max()) * (float(gen.n_th.max()) or 1.0)
     if residual > threshold:
         raise ToleranceNotMet(
             f"stationary moment residual {residual:.3e} exceeds {threshold:.3e}"

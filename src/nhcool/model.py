@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ __all__ = [
     "HoppingMatrix",
     "RateMatrix",
     "make_uniform_chain",
-    "make_alternating_chain",
     "build_hopping_matrix",
     "build_rate_matrix",
     "chain_from_config",
@@ -60,12 +60,16 @@ class Bond:
     """Directed coupling amplitudes of one nearest-neighbour bond.
 
     ``t_fwd`` moves an excitation toward higher site index, ``t_bwd`` toward
-    lower.  Complex amplitudes are representable; individual solvers may
-    impose stricter requirements (see :mod:`nhcool.spectral`).
+    lower.  Both must be finite; they may be complex, and individual solvers
+    may impose stricter requirements (see :mod:`nhcool.spectral`).
     """
 
     t_fwd: complex
     t_bwd: complex
+
+    def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.t_fwd) and cmath.isfinite(self.t_bwd)):
+            raise ValueError(f"bond amplitudes must be finite, got {self.t_fwd}, {self.t_bwd}")
 
 
 @dataclass(frozen=True)
@@ -165,28 +169,6 @@ def make_uniform_chain(
     """
     modes = (ModeParams(kappa, n_th),) * n_modes
     bonds = (_canonical_bond(coupling, asymmetry),) * (n_modes - 1)
-    return ChainSpec(modes=modes, bonds=bonds)
-
-
-def make_alternating_chain(
-    n_modes: int,
-    coupling_odd: float,
-    asymmetry_odd: float,
-    coupling_even: float,
-    asymmetry_even: float,
-    kappa: float = 0.0,
-    n_th: float = 0.0,
-) -> ChainSpec:
-    """Build a two-sublattice chain whose bonds alternate between two types.
-
-    The first, third, fifth, ... bonds use ``(coupling_odd, asymmetry_odd)``,
-    the bonds in between use ``(coupling_even, asymmetry_even)``.  With equal
-    parameters this reduces exactly to :func:`make_uniform_chain`.
-    """
-    odd = _canonical_bond(coupling_odd, asymmetry_odd)
-    even = _canonical_bond(coupling_even, asymmetry_even)
-    bonds = tuple(odd if k % 2 == 0 else even for k in range(n_modes - 1))
-    modes = (ModeParams(kappa, n_th),) * n_modes
     return ChainSpec(modes=modes, bonds=bonds)
 
 

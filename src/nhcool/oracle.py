@@ -86,9 +86,6 @@ class FockDensityMatrix:
     def hermiticity_error(self) -> float:
         return float(np.abs(self.rho - self.rho.conj().T).max())
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-
     def _marginals(self) -> np.ndarray:
         """Population of each retained Fock level, per mode: ``(n_modes, cutoff)``."""
         pops = np.real(np.diag(self.rho)).reshape((self.cutoff,) * self.n_modes)
@@ -98,10 +95,6 @@ class FockDensityMatrix:
     def occupations(self) -> np.ndarray:
         """Mean boson number of each mode."""
         return self._marginals() @ np.arange(self.cutoff, dtype=float)
-
-    def top_level_populations(self) -> np.ndarray:
-        """Population of the highest retained Fock level, per mode."""
-        return self._marginals()[:, -1]
 
 
 def _check_dimension(n_modes: int, cutoff: int) -> int:
@@ -145,7 +138,7 @@ def number_state(n_modes: int, cutoff: int, occupations: tuple[int, ...]) -> Foc
 
 
 def _warn_on_truncation(state: FockDensityMatrix) -> None:
-    tops = state.top_level_populations()
+    tops = state._marginals()[:, -1]  # population of each mode's top Fock level
     worst = int(np.argmax(tops))
     if tops[worst] > TOP_LEVEL_LIMIT:
         warnings.warn(
@@ -295,8 +288,8 @@ def evolve_master_equation(
     Raises
     ------
     ValueError
-        If ``t_end`` is not finite and >= 0, ``rho0`` has another mode count
-        or ``rho0`` has no nonzero entry.
+        If ``t_end`` is not finite and >= 0, ``rho0`` has another mode count,
+        ``rho0`` has no nonzero entry or the block's 1-norm is not finite.
     DimensionTooLarge
         If the occupied sectors have more than ``MAX_DIMENSION`` rows together.
     """

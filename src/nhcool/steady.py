@@ -111,8 +111,8 @@ def solve_steady_rates(
     ------
     ValueError
         If the bands do not have one entry fewer than ``kappa`` and ``n_th``,
-        some rate, ``kappa`` or ``n_th`` is negative or NaN, or an occupation
-        overflows the double range.
+        some rate, ``kappa`` or ``n_th`` is not finite and nonnegative, or an
+        occupation overflows the double range.
     SingularSystem
         If no mode carries dissipation, or some modes are disconnected from
         every bath.
@@ -124,8 +124,9 @@ def solve_steady_rates(
     shapes = (up.shape, down.shape, kappa.shape, n_th.shape)
     if n < 1 or shapes != ((n - 1,), (n - 1,), (n,), (n,)):
         raise ValueError(f"need n >= 1 modes and bands of length n - 1, got shapes {shapes}")
-    if not (np.concatenate((up, down, kappa, n_th)) >= 0).all():
-        raise ValueError("rates, kappa and n_th must all be nonnegative")
+    values = np.concatenate((up, down, kappa, n_th))
+    if not ((0 <= values) & (values < math.inf)).all():
+        raise ValueError("rates, kappa and n_th must all be finite and nonnegative")
     # Solve for an injection of order one and scale back: a tiny bath would
     # otherwise push the elimination into subnormal floats, which lose
     # relative accuracy.  Powers of two scale every operation exactly, so in
@@ -206,8 +207,6 @@ def solve_with_attached(spec: ChainSpec, mode: ModeParams, coupling: float) -> S
     the chain's first mode, forming an ``n_modes + 1`` chain that is solved
     exactly; the result lists the attached mode first.
     """
-    if not math.isfinite(coupling):  # ModeParams checks the rest
-        raise ValueError(f"coupling must be finite, got {coupling}")
     bonds = (Bond(coupling, coupling),) + spec.bonds
     return solve_steady_chain(ChainSpec(modes=(mode,) + spec.modes, bonds=bonds))
 

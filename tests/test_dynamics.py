@@ -372,6 +372,13 @@ class TestEvolveCovariance:
         with pytest.raises(ValueError, match="t_end"):
             evolve_covariance(spec, np.eye(2, dtype=complex), t_end)
 
+    def test_rejects_generator_whose_norm_overflows(self):
+        # finite amplitudes whose column sums overflow; the squaring count
+        # ceil(log2 inf) raised an untyped OverflowError here
+        spec = ChainSpec(modes=(ModeParams(0.1, 0.5),) * 2, bonds=(Bond(1e308, 1e308),))
+        with pytest.raises(ValueError, match="1-norm is inf"):
+            evolve_covariance(spec, np.eye(2, dtype=complex), 1.0)
+
     def test_huge_t_end_returns_stationary_state(self):
         # the squarings stop once the flow has converged, not after the
         # thousand that tau = 1e300 would scale to; measured 9.1e-14

@@ -1,9 +1,9 @@
-"""Which commands load scipy, checked in fresh interpreters.
+"""Which commands load scipy, checked in a fresh interpreter.
 
 scipy costs about half a second of start-up, so the layers import it inside
 the functions that call it.  pytest has already imported scipy by the time
-these tests run, so each check starts its own interpreter and reports the
-``scipy`` modules it saw as JSON on its last line of output.
+these tests run, so the checks start one interpreter of their own, which
+reports the ``scipy`` modules it saw as JSON on its last line of output.
 """
 
 import json
@@ -32,7 +32,14 @@ SCIPY_USING = [
     ["oracle", "--max-rel-dev", "10"],
 ]
 
-_PRELUDE = """
+# One fresh interpreter runs three phases in this order, recording the scipy
+# modules after each: the commands that must load none; the library calls
+# that run on numpy alone (the moment and master-equation trajectories use
+# the moment layer's numpy Taylor exponential, and the spectral eigensolve
+# is numpy's SVD); then the stationary solves that load scipy.linalg, and
+# the commands that call them.  Each test checks only what its own phase
+# loaded.
+_SCRIPT = """
 import json, os, sys, warnings
 warnings.simplefilter("ignore")
 
@@ -43,22 +50,15 @@ def run(argv, out_dir):
     from nhcool.cli import main
     name = "_".join(argv).replace("-", "") + ".csv"
     return main([*argv, "--output", os.path.join(out_dir, name)])
-"""
 
-_SCIPY_FREE_SCRIPT = _PRELUDE + """
+scipy_free, scipy_using, free_dir, using_dir = json.loads(sys.argv[1])
+
 import nhcool, nhcool.cli
-report = {"import": scipy_modules(), "commands": []}
-for argv in json.loads(sys.argv[1]):
-    code = run(argv, sys.argv[2])
-    report["commands"].append([argv, code, scipy_modules()])
-print(json.dumps(report))
-"""
+free = {"import": scipy_modules(), "commands": []}
+for argv in scipy_free:
+    code = run(argv, free_dir)
+    free["commands"].append([argv, code, scipy_modules()])
 
-# Library calls that run on numpy alone: the moment and master-equation
-# trajectories use the moment layer's numpy Taylor exponential, and the
-# spectral eigensolve is numpy's SVD.  The modules are recorded after each
-# layer's calls, so each test below checks only what its own layer loaded.
-_NUMPY_ONLY_SCRIPT = _PRELUDE + """
 import numpy as np
 from nhcool import (
     build_hopping_matrix, covariance_rhs, diagonalize, evolve_covariance,
@@ -67,71 +67,68 @@ from nhcool import (
 )
 spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
 pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
-report = {
+numpy_only = {
     "covariance_rhs": covariance_rhs(spec, np.eye(3)).real.diagonal().tolist(),
     "evolve_covariance": evolve_covariance(
         spec, np.eye(3), 200.0, t_eval=[0.5, 20.0, 200.0]).occupations.tolist(),
 }
-report["after_covariance"] = scipy_modules()
-report["spectral_occupations"] = []
+numpy_only["after_covariance"] = scipy_modules()
+numpy_only["spectral_occupations"] = []
 for n in (1, 2, 7, 40):
     dec = diagonalize(build_hopping_matrix(make_uniform_chain(n, 1.0, 0.5, 0.0, 1.0)))
-    report["spectral_occupations"].append(spectral_occupations(dec, 1.0).tolist())
+    numpy_only["spectral_occupations"].append(spectral_occupations(dec, 1.0).tolist())
     localization_profile(dec), dec.hermitian_eigenvectors, dec.right_eigenvectors
-report["after_spectral"] = scipy_modules()
-report["evolve_master_equation"] = evolve_master_equation(
+numpy_only["after_spectral"] = scipy_modules()
+numpy_only["evolve_master_equation"] = evolve_master_equation(
     pair, thermal_state(pair, 3), 1.0).occupations().tolist()
-report["after_master_equation"] = scipy_modules()
-print(json.dumps(report))
-"""
+numpy_only["after_master_equation"] = scipy_modules()
 
-# The stationary solves that load scipy.linalg, then the commands that call
-# them; the modules are recorded after each call.
-_DEFERRED_SCRIPT = _PRELUDE + """
-from nhcool import make_uniform_chain, oracle_steady, steady_from_dynamics
-spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
-pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
-report = {"steady_from_dynamics": steady_from_dynamics(spec).occupations.tolist()}
-report["after_steady_from_dynamics"] = scipy_modules()
-report["oracle_steady"] = oracle_steady(pair, 3).tolist()
-report["after_oracle_steady"] = scipy_modules()
-report["commands"] = [[argv, run(argv, sys.argv[2])] for argv in json.loads(sys.argv[1])]
-report["scipy"] = scipy_modules()
-print(json.dumps(report))
+from nhcool import oracle_steady, steady_from_dynamics
+deferred = {"steady_from_dynamics": steady_from_dynamics(spec).occupations.tolist()}
+deferred["after_steady_from_dynamics"] = scipy_modules()
+deferred["oracle_steady"] = oracle_steady(pair, 3).tolist()
+deferred["after_oracle_steady"] = scipy_modules()
+deferred["commands"] = [[argv, run(argv, using_dir)] for argv in scipy_using]
+deferred["scipy"] = scipy_modules()
+print(json.dumps([free, numpy_only, deferred]))
 """
 
 
-def _run_fresh(script: str, commands: list[list[str]], out_dir: Path) -> dict:
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """The three phase reports of one fresh interpreter, the command phases
+    each with the directory of their CSVs."""
+    free_dir, using_dir = (tmp_path_factory.mktemp(name) for name in ("free", "using"))
+    args = json.dumps([SCIPY_FREE, SCIPY_USING, str(free_dir), str(using_dir)])
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands), str(out_dir)],
+        [sys.executable, "-c", _SCRIPT, args],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-# Each probe starts one interpreter, shared by the tests that read its report.
-@pytest.fixture(scope="module")
-def numpy_only_report(tmp_path_factory):
-    return _run_fresh(_NUMPY_ONLY_SCRIPT, [], tmp_path_factory.mktemp("numpy_only"))
+    free, numpy_only, deferred = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"free": (free, free_dir), "numpy_only": numpy_only, "deferred": (deferred, using_dir)}
 
 
 @pytest.fixture(scope="module")
-def deferred_run(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("deferred")
-    return _run_fresh(_DEFERRED_SCRIPT, SCIPY_USING, out_dir), out_dir
+def numpy_only_report(fresh_run):
+    return fresh_run["numpy_only"]
 
 
-def test_package_and_numpy_only_commands_load_no_scipy(tmp_path):
-    report = _run_fresh(_SCIPY_FREE_SCRIPT, SCIPY_FREE, tmp_path)
+@pytest.fixture(scope="module")
+def deferred_run(fresh_run):
+    return fresh_run["deferred"]
+
+
+def test_package_and_numpy_only_commands_load_no_scipy(fresh_run):
+    report, out_dir = fresh_run["free"]
     assert report["import"] == []
     for argv, code, loaded in report["commands"]:
         assert code == 0, argv
         assert loaded == [], f"{argv} loaded {loaded[:3]}"
-    assert len(list(tmp_path.glob("*.csv"))) == len(SCIPY_FREE)
+    assert len(list(out_dir.glob("*.csv"))) == len(SCIPY_FREE)
 
 
 def test_covariance_propagation_loads_no_sparse_linalg(numpy_only_report):

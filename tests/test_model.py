@@ -12,7 +12,6 @@ from nhcool import (
     build_hopping_matrix,
     build_rate_matrix,
     chain_from_config,
-    make_alternating_chain,
     make_uniform_chain,
 )
 
@@ -54,25 +53,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_uniform_chain(**{"coupling": 1.0, **kwargs})
 
-    def test_alternating_reduces_to_uniform(self):
-        alt = make_alternating_chain(4, 1.0, LN2, 1.0, LN2, 0.01, 1.0)
-        uni = make_uniform_chain(4, 1.0, LN2, 0.01, 1.0)
-        assert alt.bonds == uni.bonds
-        assert alt.modes == uni.modes
-
-    def test_alternating_pattern(self):
-        spec = make_alternating_chain(4, 1.0, 0.5, 0.3, 0.5, 0.01, 1.0)
-        fwd = [b.t_fwd for b in spec.bonds]
-        e = math.exp(0.5)
-        assert fwd == pytest.approx([e, 0.3 * e, e], rel=1e-15)
-
-    def test_alternating_hermitian_when_symmetric(self):
-        spec = make_alternating_chain(3, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0)
-        for bond in spec.bonds:
-            assert bond.t_fwd == bond.t_bwd
-        h = build_hopping_matrix(spec).matrix
-        assert np.array_equal(h, h.conj().T)
-
     def test_chain_spec_checks_bond_count(self):
         with pytest.raises(ValueError):
             ChainSpec(modes=(ModeParams(0.1, 1.0),) * 3, bonds=(Bond(1.0, 1.0),))
@@ -97,10 +77,13 @@ class TestConstructors:
     def test_constructors_reject_non_finite_bonds(self, coupling, asymmetry):
         with pytest.raises(ValueError):
             make_uniform_chain(3, coupling, asymmetry, 0.01, 1.0)
-        with pytest.raises(ValueError):
-            make_alternating_chain(3, 1.0, LN2, coupling, asymmetry, 0.01, 1.0)
-        with pytest.raises(ValueError):
-            make_alternating_chain(3, coupling, asymmetry, 1.0, LN2, 0.01, 1.0)
+
+    @pytest.mark.parametrize("t_fwd,t_bwd", [
+        (math.nan, 1.0), (1.0, math.inf), (complex(0, math.nan), 1.0), (1.0, complex(-math.inf, 1.0)),
+    ])
+    def test_bond_rejects_non_finite_amplitudes(self, t_fwd, t_bwd):
+        with pytest.raises(ValueError, match="bond amplitudes must be finite"):
+            Bond(t_fwd, t_bwd)
 
 
 class TestHoppingMatrix:

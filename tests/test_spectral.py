@@ -13,7 +13,6 @@ from nhcool import (
     build_hopping_matrix,
     diagonalize,
     localization_profile,
-    make_alternating_chain,
     make_uniform_chain,
     spectral_occupations,
 )
@@ -45,6 +44,14 @@ def random_positive_chain(n, seed, asymmetry=1.0):
     ts = rng.uniform(0.5, 2.0, n - 1)
     asym = rng.uniform(-asymmetry, asymmetry, n - 1)
     bonds = tuple(Bond(t * math.exp(a), t * math.exp(-a)) for t, a in zip(ts, asym))
+    return ChainSpec(modes=(ModeParams(0.0, 1.0),) * n, bonds=bonds)
+
+
+def alternating_chain(n, coupling_odd, asymmetry_odd, coupling_even, asymmetry_even):
+    """Chain whose bonds alternate ``t exp(+-A)`` between two ``(t, A)``, starting with the odd."""
+    odd, even = (Bond(t * math.exp(a), t * math.exp(-a))
+                 for t, a in ((coupling_odd, asymmetry_odd), (coupling_even, asymmetry_even)))
+    bonds = tuple(odd if k % 2 == 0 else even for k in range(n - 1))
     return ChainSpec(modes=(ModeParams(0.0, 1.0),) * n, bonds=bonds)
 
 
@@ -135,7 +142,7 @@ class TestDiagonalize:
         )
 
     def test_alternating_chain_diagonalizes(self):
-        spec = make_alternating_chain(6, 1.0, 0.5, 0.4, 0.2, 0.0, 1.0)
+        spec = alternating_chain(6, 1.0, 0.5, 0.4, 0.2)
         hop = build_hopping_matrix(spec)
         dec = diagonalize(hop)
         hnorm = np.linalg.norm(hop.matrix, 2)
@@ -427,7 +434,7 @@ class TestSpectralOccupations:
         [
             (random_phase_chain(12, seed=1), 60),
             (random_phase_chain(16, seed=2), 80),
-            (make_alternating_chain(14, 1.0, 3.0, 0.6, -1.5, 0.0, 1.0), 60),
+            (alternating_chain(14, 1.0, 3.0, 0.6, -1.5), 60),
         ],
         ids=["phases-12", "phases-16", "alternating-14"],
     )

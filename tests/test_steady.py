@@ -254,6 +254,15 @@ class TestSolveSteadyRates:
         with pytest.raises(ValueError):
             solve_steady_rates(g, np.array([0.1, 0.1]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("which", ["fwd", "bwd", "kappa", "n_th"])
+    def test_rejects_infinite_input(self, which):
+        # an infinite input would otherwise surface as an overflowing occupation
+        inputs = {"fwd": [1.0], "bwd": [1.0], "kappa": [0.1, 0.1], "n_th": [1.0, 1.0]}
+        inputs[which][0] = math.inf
+        g = RateMatrix(np.array(inputs["fwd"]), np.array(inputs["bwd"]))
+        with pytest.raises(ValueError, match="must all be finite and nonnegative"):
+            solve_steady_rates(g, np.array(inputs["kappa"]), np.array(inputs["n_th"]))
+
     @pytest.mark.parametrize("fwd,bwd,n_th", [
         ([1.0], [1.0, 2.0], [1.0, 1.0]),  # a band one entry too long
         ([1.0, 2.0], [1.0, 2.0], [1.0, 1.0]),  # both bands as long as kappa

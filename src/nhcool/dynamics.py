@@ -403,6 +403,13 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
             f"bond {bad[0]} has t_fwd t_bwd = {product[bad[0]]:.6g}; the moment fixed point "
             "is a state only where every product is real and |t|^2 + t_fwd t_bwd >= 0"
         )
+    # Solve for a pump of order one and scale back, as solve_steady_rates does:
+    # band(x) multiplies amplitudes by occupations, which overflows on a strong
+    # pump long before the occupations do.  Powers of two scale every operation
+    # exactly, so in the normal range the result is bitwise that of the
+    # unscaled solve.
+    _, exponent = math.frexp(float(gen.source.real.max()))
+    gen.source = np.ldexp(gen.source.real, -exponent).astype(complex)
     # L[i, j] sits at bands[4 + i - j, j]; the top two rows hold the LU's fill-in
     bands = np.zeros((7, 3 * gen.n - 2), dtype=complex)
     bands[4 + gen.rows - gen.cols, gen.cols] = gen.vals
@@ -417,10 +424,10 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     if not np.isfinite(flow).all():
         raise ValueError("the stationary moment residual is not finite")
     x -= zgbtrs(lu, 2, 2, flow, piv)[0]
-    residual = float(np.abs(gen.band(x)).max())
+    residual = math.ldexp(float(np.abs(gen.band(x)).max()), exponent)
     threshold = tol * float(gen.kappa.max()) * (float(gen.n_th.max()) or 1.0)
     if residual > threshold:
         raise ToleranceNotMet(
             f"stationary moment residual {residual:.3e} exceeds {threshold:.3e}"
         )
-    return SteadyState(occupations=np.real(x[::3]).copy(), residual=residual)
+    return SteadyState(occupations=np.ldexp(np.real(x[::3]), exponent), residual=residual)

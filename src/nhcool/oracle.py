@@ -32,13 +32,17 @@ stationary state.  The Hilbert dimension and each Liouvillian block are
 capped at ``MAX_DIMENSION`` to keep desk-scale runs honest about their
 cost.  ``scipy.linalg`` is imported only by :func:`oracle_steady`, on its
 first call.
+
+The Fock basis is numpy's C order over ``(cutoff,) * n_modes``, mode 0
+leftmost.  One table states it, ``levels[i, s]`` of :func:`_fock_levels`:
+occupations, top-level populations, the thermal product, total boson
+numbers and the ladder operators all read it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -79,6 +83,8 @@ class FockDensityMatrix:
                 f"rho of shape {np.shape(self.rho)} does not fit {self.n_modes} modes "
                 f"at cutoff {self.cutoff}, which need {shape}"
             )
+        if not np.isfinite(self.rho).all():
+            raise ValueError("rho has an entry that is not finite")
 
     def trace_error(self) -> float:
         return abs(np.trace(self.rho) - 1.0)
@@ -86,15 +92,15 @@ class FockDensityMatrix:
     def hermiticity_error(self) -> float:
         return float(np.abs(self.rho - self.rho.conj().T).max())
 
-    def _marginals(self) -> np.ndarray:
-        """Population of each retained Fock level, per mode: ``(n_modes, cutoff)``."""
-        pops = np.real(np.diag(self.rho)).reshape((self.cutoff,) * self.n_modes)
-        modes = range(self.n_modes)
-        return np.array([pops.sum(axis=tuple(ax for ax in modes if ax != i)) for i in modes])
-
     def occupations(self) -> np.ndarray:
         """Mean boson number of each mode."""
-        return self._marginals() @ np.arange(self.cutoff, dtype=float)
+        return _fock_levels(self.n_modes, self.cutoff) @ np.real(np.diag(self.rho))
+
+
+def _fock_levels(n_modes: int, cutoff: int) -> np.ndarray:
+    """``levels[i, s]``, the Fock level of mode ``i`` in basis state ``s``: its
+    base-``cutoff`` digits in numpy's C order, mode 0 the most significant."""
+    return np.indices((cutoff,) * n_modes).reshape(n_modes, -1)
 
 
 def _check_dimension(n_modes: int, cutoff: int) -> int:
@@ -111,14 +117,12 @@ def _check_dimension(n_modes: int, cutoff: int) -> int:
 def thermal_state(spec: ChainSpec, cutoff: int) -> FockDensityMatrix:
     """Product of truncated single-mode thermal states, renormalized."""
     _check_dimension(spec.n_modes, cutoff)
-    weights = np.ones(1)
-    for mode in spec.modes:
-        ratio = mode.n_th / (1.0 + mode.n_th)
-        w = ratio ** np.arange(cutoff)
-        w /= w.sum()
-        weights = np.kron(weights, w)
+    n_th = spec.n_th_vector()[:, None]
+    weights = (n_th / (1.0 + n_th)) ** np.arange(cutoff)
+    weights /= weights.sum(axis=1, keepdims=True)
+    product = np.take_along_axis(weights, _fock_levels(spec.n_modes, cutoff), 1).prod(0)
     return FockDensityMatrix(
-        rho=np.diag(weights).astype(complex), cutoff=cutoff, n_modes=spec.n_modes
+        rho=np.diag(product).astype(complex), cutoff=cutoff, n_modes=spec.n_modes
     )
 
 
@@ -127,18 +131,18 @@ def number_state(n_modes: int, cutoff: int, occupations: tuple[int, ...]) -> Foc
     dim = _check_dimension(n_modes, cutoff)
     if len(occupations) != n_modes:
         raise ValueError("need one occupation per mode")
-    index = 0
     for occ in occupations:
         if not 0 <= occ < cutoff:
             raise ValueError(f"occupation {occ} outside 0..{cutoff - 1}")
-        index = index * cutoff + occ
+    index = np.ravel_multi_index(occupations, (cutoff,) * n_modes)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
     return FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=n_modes)
 
 
 def _warn_on_truncation(state: FockDensityMatrix) -> None:
-    tops = state._marginals()[:, -1]  # population of each mode's top Fock level
+    levels = _fock_levels(state.n_modes, state.cutoff)
+    tops = (levels == state.cutoff - 1) @ np.real(np.diag(state.rho))
     worst = int(np.argmax(tops))
     if tops[worst] > TOP_LEVEL_LIMIT:
         warnings.warn(
@@ -150,43 +154,35 @@ def _warn_on_truncation(state: FockDensityMatrix) -> None:
         )
 
 
-def _number_totals(n_modes: int, cutoff: int) -> np.ndarray:
-    """Total boson number of each Fock basis state."""
-    return np.indices((cutoff,) * n_modes).reshape(n_modes, -1).sum(axis=0)
-
-
 def _sector_pairs(
     n_modes: int, cutoff: int, differences: tuple[int, ...] = (0,)
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs ``(a, b)`` of Fock states whose total boson numbers differ
-    by one of ``differences`` or its negative (``M_a - M_b``), and the
-    position ``swap[k]`` of the transposed pair ``(right[k], left[k])``.
+    by one of ``differences`` or its negative (``M_a - M_b``), row-major in
+    ``(a, b)``, and the position ``swap[k]`` of the transposed pair
+    ``(right[k], left[k])``.
 
     ``L0`` maps each such sector of ``rho``, and so their union, into itself;
     taking each difference with its negative closes the union under
     transposition, which the real coordinates of :func:`_liouvillian` need.
-    Raises :class:`DimensionTooLarge` when the union has more than
-    ``MAX_DIMENSION`` pairs, before any Liouvillian is allocated.
+    The pairs are the nonzeros of a ``dim x dim`` mask over the int16 table
+    of number differences.  Raises :class:`DimensionTooLarge` when the union
+    has more than ``MAX_DIMENSION`` pairs: after those two tables, but before
+    any Liouvillian is allocated.
     """
     dim = _check_dimension(n_modes, cutoff)
-    total = _number_totals(n_modes, cutoff)
+    total = _fock_levels(n_modes, cutoff).sum(axis=0, dtype=np.int16)
     signed = np.union1d(differences, np.negative(differences))
-    sectors = [
-        (np.flatnonzero(total == count), np.flatnonzero(total == count - difference))
-        for difference in signed.tolist()
-        for count in range(total.max() + 1)
-    ]
-    size = sum(len(lefts) * len(rights) for lefts, rights in sectors)
+    mask = np.isin(total[:, None] - total, signed)
+    size = int(np.count_nonzero(mask))
     if size > MAX_DIMENSION:
         raise DimensionTooLarge(
             f"Liouvillian block of number differences {signed.tolist()} has {size} rows, "
             f"exceeding the dense guard rail {MAX_DIMENSION}"
         )
-    left = np.concatenate([np.repeat(lefts, len(rights)) for lefts, rights in sectors])
-    right = np.concatenate([np.tile(rights, len(lefts)) for lefts, rights in sectors])
-    keys = left * dim + right
-    order = np.argsort(keys)
-    swap = order[np.searchsorted(keys, right * dim + left, sorter=order)]
+    left, right = np.nonzero(mask)
+    # np.nonzero lists the pairs row-major, so their keys are already sorted
+    swap = np.searchsorted(left * dim + right, right * dim + left)
     return left, right, swap
 
 
@@ -219,16 +215,17 @@ def _liouvillian(
     matrix ``Re L + (Im L)[:, swap]`` has exactly the spectrum of ``L``.  It
     is assembled here without ``L``: ``Re L`` takes ``Re K`` in both
     factors and ``(Im L)[:, swap]`` reads ``Im K`` at the transposed pairs.
+    The lowering operator ``a_i`` is read off the level table: it takes
+    state ``s`` to ``s - cutoff**(n_modes - 1 - i)`` with amplitude
+    ``sqrt(levels[i, s])``, zero on the states where mode ``i`` is empty.
     A mode without a bath, or at zero temperature, contributes zero jump
     operators.
     """
     n_modes = spec.n_modes
-    single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    eye = np.eye(cutoff)
-    lowering = [
-        reduce(np.kron, [single if j == i else eye for j in range(n_modes)])
-        for i in range(n_modes)
-    ]
+    lowering = []
+    for i, levels in enumerate(_fock_levels(n_modes, cutoff)):
+        stride = cutoff ** (n_modes - 1 - i)  # a_i takes state s to s - stride
+        lowering.append(np.diag(np.sqrt(levels[stride:]), stride))
     hop = build_hopping_matrix(spec)
     k_op = np.zeros((cutoff**n_modes,) * 2, dtype=complex)
     for k in range(n_modes - 1):
@@ -296,8 +293,8 @@ def evolve_master_equation(
     if rho0.n_modes != spec.n_modes:
         raise ValueError("initial state and chain have different mode counts")
     t_end = Trajectory.check_end(t_end)
-    total = _number_totals(rho0.n_modes, rho0.cutoff)
-    occupied = np.unique((total[:, None] - total[None, :])[rho0.rho != 0])
+    total = _fock_levels(rho0.n_modes, rho0.cutoff).sum(axis=0, dtype=np.int16)
+    occupied = np.unique((total[:, None] - total)[rho0.rho != 0])
     if not occupied.size:
         raise ValueError("initial state has no nonzero entry")
     # the size guard runs before any operator is allocated

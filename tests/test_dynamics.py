@@ -448,6 +448,14 @@ class TestSteadyFromDynamics:
         with pytest.raises(SingularSystem):
             steady_from_dynamics(make_uniform_chain(2, 1.0, 0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_pump_near_the_top_of_the_double_range(self, n):
+        # every occupation is 1e300, but the band's products t x overflowed
+        # before the solve was scaled to a pump of order one
+        spec = make_uniform_chain(n, 1e100, 0.0, 1.0, 1e300)
+        dyn = steady_from_dynamics(spec).occupations
+        assert dyn == pytest.approx(solve_steady_chain(spec).occupations, rel=1e-15, abs=0.0)
+
     def test_residual_gated_on_tol(self):
         spec = make_uniform_chain(4, 1.0, LN2, 0.01, 1.0)
         ss = steady_from_dynamics(spec, tol=1e-12)

@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "oracle", cmd_oracle, "cross-validate the three solver layers")
     _add_chain_flags(p, "n_modes", "t", "A", "kappa", "n_th")
     p.add_argument("--cutoff", type=int, default=5, help="Fock levels per mode")
-    p.add_argument("--tol", type=float, default=1e-8, help="master-equation residual limit")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="master-equation residual limit, in units of max(kappa) max(n_th)")
     p.add_argument("--max-rel-dev", type=float, default=0.10, help="rate vs master-equation limit")
     p.add_argument("--dyn-rel-dev", type=float, default=1e-3, help="rate vs moment-dynamics limit")
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from functools import reduce
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
 from nhcool import (
@@ -27,7 +29,7 @@ from nhcool import (
     thermal_state,
 )
 from nhcool.dynamics import _expm_taylor
-from nhcool.oracle import _liouvillian, _sector_pairs, _warn_on_truncation
+from nhcool.oracle import _liouvillian, _parity_blocks, _sector_pairs, _warn_on_truncation
 
 LN2 = math.log(2.0)
 # a complex bond, a mode without a bath and a mode at zero temperature, whose
@@ -43,15 +45,20 @@ def rabi_closed_form(tau):
     return c2 / (c2 + 4.0 * s2)
 
 
+def kron_lowering(n_modes, cutoff):
+    """The lowering operator of each mode as a Kronecker product, mode 0 leftmost."""
+    single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    return [
+        reduce(np.kron, [single if j == i else np.eye(cutoff) for j in range(n_modes)])
+        for i in range(n_modes)
+    ]
+
+
 def full_liouvillian(spec, cutoff):
     """The linear Liouvillian ``L0`` on the whole ``dim**2`` space, row-major."""
     n = spec.n_modes
     dim = cutoff**n
-    single = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    lowering = [
-        reduce(np.kron, [single if j == i else np.eye(cutoff) for j in range(n)])
-        for i in range(n)
-    ]
+    lowering = kron_lowering(n, cutoff)
     h = build_hopping_matrix(spec).matrix
     ham = sum(h[i, j] * lowering[i].T @ lowering[j] for i in range(n) for j in range(n))
     eye = np.eye(dim)
@@ -63,6 +70,60 @@ def full_liouvillian(spec, cutoff):
             norm = op.T @ op
             liou += np.kron(op, op) - 0.5 * (np.kron(norm, eye) + np.kron(eye, norm))
     return liou
+
+
+def dense_liouvillian_block(spec, cutoff, left, right):
+    """The real block ``Re L + (Im L)[:, swap]`` of ``L0`` on the given pairs,
+    gathered from dense ``K`` and jump operators with ``np.ix_``: the bitwise
+    reference for the nonzero assembly of ``_liouvillian``."""
+    lowering = kron_lowering(spec.n_modes, cutoff)
+    hop = build_hopping_matrix(spec)
+    k_op = np.zeros((cutoff**spec.n_modes,) * 2, dtype=complex)
+    for k in range(spec.n_modes - 1):
+        k_op -= 1j * hop.bwd[k] * (lowering[k].T @ lowering[k + 1])
+        k_op -= 1j * hop.fwd[k] * (lowering[k + 1].T @ lowering[k])
+    jumps = []
+    for a, mode in zip(lowering, spec.modes):
+        jumps.append(np.sqrt(mode.kappa * (1.0 + mode.n_th)) * a)
+        jumps.append(np.sqrt(mode.kappa * mode.n_th) * a.T)
+    k_op[np.diag_indices_from(k_op)] -= 0.5 * sum((j * j).sum(axis=0) for j in jumps)
+
+    def block(a, b):
+        return a[np.ix_(left, left)] * b[np.ix_(right, right)]
+
+    def transposed(a, b):
+        return a[np.ix_(left, right)] * b[np.ix_(right, left)]
+
+    ident = np.eye(len(k_op))
+    real = block(k_op.real, ident)
+    real += block(ident, k_op.real)
+    real += transposed(k_op.imag, ident)
+    real -= transposed(ident, k_op.imag)
+    for jump in jumps:
+        real += block(jump, jump)
+    return real
+
+
+def parity_operator(n_modes, cutoff, left, right, swap):
+    """``Q u = sigma u[swap]`` as a dense matrix, ``sigma = s[left] s[right]``
+    and ``s`` the sign ``(-1)**(bosons on the odd-indexed modes)`` of each
+    basis state, enumerated as tuples."""
+    s = np.array([
+        (-1) ** sum(levels[1::2])
+        for levels in itertools.product(range(cutoff), repeat=n_modes)
+    ])
+    q = np.zeros((len(left),) * 2)
+    q[np.arange(len(left)), swap] = s[left] * s[right]
+    return q
+
+
+def staggered_real_chain(n_modes):
+    """Real amplitudes of both signs, and a different bath on each mode."""
+    amplitudes = [(1.3, 0.6), (-0.9, 1.1), (0.7, -0.4)]
+    return ChainSpec(
+        modes=tuple(ModeParams(0.04 + 0.03 * i, 0.05 + 0.07 * i) for i in range(n_modes)),
+        bonds=tuple(Bond(*amplitudes[k]) for k in range(n_modes - 1)),
+    )
 
 
 def full_liouvillian_occupations(spec, cutoff):
@@ -158,6 +219,57 @@ class TestFockLayout:
         message = f"top Fock level of mode {worst} holds population {top[worst]:.2e} "
         with pytest.warns(TruncationWarning, match=re.escape(message)):
             _warn_on_truncation(state)
+
+    @pytest.mark.parametrize("differences", [(0,), (0, 1)])
+    def test_liouvillian_assembly_equals_dense_gathers(self, differences):
+        # complex amplitudes, and baths that are sometimes absent or cold
+        rng = np.random.default_rng(sum(differences))
+        for _ in range(20):
+            n_modes = int(rng.integers(1, 4))
+            cutoff = int(rng.integers(2, 6 if n_modes < 3 else 4))
+            spec = ChainSpec(
+                modes=tuple(ModeParams(float(rng.choice([0.0, rng.uniform(0, 1)])),
+                                       float(rng.choice([0.0, rng.uniform(0, 2)])))
+                            for _ in range(n_modes)),
+                bonds=tuple(Bond(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+                            for _ in range(n_modes - 1)),
+            )
+            left, right, _ = _sector_pairs(n_modes, cutoff, differences)
+            got = _liouvillian(spec, cutoff, left, right)
+            want = dense_liouvillian_block(spec, cutoff, left, right)
+            # bit for bit, the signs of zeros included
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestParity:
+    """``rho -> S rho^T S`` commutes with ``L0`` when every amplitude is real."""
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (2, 5), (3, 3), (4, 3)])
+    def test_real_liouvillian_commutes_with_parity(self, n_modes, cutoff):
+        left, right, swap = _sector_pairs(n_modes, cutoff)
+        real = _liouvillian(staggered_real_chain(n_modes), cutoff, left, right)
+        q = parity_operator(n_modes, cutoff, left, right, swap)
+        assert np.array_equal(real @ q, q @ real)
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (2, 5), (3, 3), (4, 3)])
+    def test_blocks_hold_the_spectrum(self, n_modes, cutoff):
+        left, right, swap = _sector_pairs(n_modes, cutoff)
+        real = _liouvillian(staggered_real_chain(n_modes), cutoff, left, right)
+        _, _, even, odd = _parity_blocks(real, left, right, swap, n_modes, cutoff)
+        assert len(even) + len(odd) == len(real)
+        got = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
+        want = np.linalg.eigvals(real)
+        # each eigenvalue of either side has a partner in the other
+        distance = np.abs(got[:, None] - want[None, :])
+        tol = 1e-12 * np.abs(want).max()
+        assert distance.min(axis=1).max() <= tol
+        assert distance.min(axis=0).max() <= tol
+
+    def test_complex_amplitudes_break_the_parity(self):
+        left, right, swap = _sector_pairs(3, 3)
+        real = _liouvillian(COMPLEX_IDLE_CHAIN, 3, left, right)
+        q = parity_operator(3, 3, left, right, swap)
+        assert np.abs(real @ q - q @ real).max() > 0.1 * np.abs(real).max()
 
 
 class TestNumberState:
@@ -368,14 +480,14 @@ class TestEvolveMasterEquation:
         with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
             evolve_master_equation(spec, thermal_state(spec, 3), tau)
 
-    # the Liouvillian's entries overflow on the way to the NaN norm
+    # the Liouvillian's entries overflow on the way to the infinite norm
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rejects_liouvillian_whose_norm_is_not_finite(self):
         # a NaN norm made the exponential the identity, so the thermal
-        # start came back unchanged
+        # start came back unchanged; the assembly adds only the nonzero
+        # terms, so no inf * 0 turns the overflow into NaN
         spec = ChainSpec(modes=(ModeParams(0.1, 0.5),) * 2, bonds=(Bond(1e308, 1e308),))
-        with pytest.raises(ValueError, match="1-norm is nan"):
+        with pytest.raises(ValueError, match="1-norm is inf"):
             evolve_master_equation(spec, thermal_state(spec, 3), 1.0)
 
     def test_rejects_start_of_another_mode_count(self):
@@ -503,9 +615,55 @@ class TestOracleSteady:
             with pytest.raises(ToleranceNotMet):
                 oracle_steady(spec, 4, tol=1e-30)
 
+    def test_residual_gate_is_relative_to_the_bath(self):
+        # the residual, 1e284 here, scales with kappa n_th = 1e300; at cutoff 3
+        # the infinitely hot state is uniform over the levels 0, 1 and 2
+        spec = ChainSpec(modes=(ModeParams(1.0, 1e300),) * 2, bonds=(Bond(1e100, 1e100),))
+        with pytest.warns(TruncationWarning):
+            occ = oracle_steady(spec, 3)
+        assert occ == pytest.approx([1.0, 1.0], rel=1e-12)
+
     def test_sector_block_guard(self):
         # 19**2 = 361 Fock states pass the state guard, but the
         # number-diagonal block has sum_N dim_N**2 = 4579 > 4096 rows
         spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
         with pytest.raises(DimensionTooLarge):
             oracle_steady(spec, 19)
+
+    def test_sector_block_guard_allocates_no_pair_table(self):
+        # 64**2 = 4096 Fock states: a dim x dim table would take 16 MB or more
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLarge, match="174784 rows"):
+                oracle_steady(spec, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_real_chain_solves_on_the_parity_blocks(self, monkeypatch):
+        # the gauge copy has the same products t_fwd t_bwd, so the same
+        # occupations, but complex amplitudes, which take the full block
+        spec = staggered_real_chain(3)
+        phases = np.exp(1j * np.array([0.7, -1.9]))
+        gauged = ChainSpec(
+            modes=spec.modes,
+            bonds=tuple(Bond(b.t_fwd * p, b.t_bwd / p) for b, p in zip(spec.bonds, phases)),
+        )
+        shapes = []
+        for name in ("eigvals", "lu_factor"):
+            original = getattr(scipy.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, recorded)
+        occ = oracle_steady(spec, 3)
+        assert shapes == [(84, 84), (57, 57), (84, 84)]
+        shapes.clear()
+        want = oracle_steady(gauged, 3)
+        assert shapes == [(141, 141), (141, 141)]
+        assert occ == pytest.approx(want, rel=1e-13, abs=0)

@@ -173,6 +173,9 @@ def _max_rel_dev(values: np.ndarray, reference: np.ndarray) -> float:
 
 
 def cmd_oracle(args) -> int:
+    for flag, limit in (("--max-rel-dev", args.max_rel_dev), ("--dyn-rel-dev", args.dyn_rel_dev)):
+        if not limit >= 0:  # also rejects nan; inf turns the check off
+            raise ValueError(f"{flag} must be >= 0, got {limit}")
     spec = _chain(args)
     n_rate = steady.solve_steady_chain(spec).occupations
     n_dyn = dynamics.steady_from_dynamics(spec, tol=1e-6).occupations

@@ -36,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidRegime, SingularSystem, ToleranceNotMet
+from .errors import InvalidRegime, SingularSystem
 from .model import ChainSpec, build_hopping_matrix
-from .steady import SteadyState
+from .steady import SteadyState, _check_residual
 
 __all__ = [
     "Trajectory",
@@ -379,7 +379,8 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     Raises
     ------
     ValueError
-        If an entry of the system, or of the residual it refines, overflows.
+        If an entry of the system, or of the residual it refines, overflows,
+        or ``tol`` is NaN or negative.
     SingularSystem
         If some mode carries no dissipation (the transient never dies), or
         the stationary system is numerically singular.
@@ -387,7 +388,8 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
         If a bond's product ``t_fwd t_bwd`` is not real, or makes one of its
         two rates negative.
     ToleranceNotMet
-        If the residual exceeds ``tol * max(kappa) * max(n_th)``.
+        If the residual exceeds ``tol * max(kappa) * max(n_th)``, or is NaN
+        (the gate :func:`~nhcool.steady._check_residual`).
     """
     from scipy.linalg.lapack import zgbsv, zgbtrs
 
@@ -425,9 +427,5 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
         raise ValueError("the stationary moment residual is not finite")
     x -= zgbtrs(lu, 2, 2, flow, piv)[0]
     residual = math.ldexp(float(np.abs(gen.band(x)).max()), exponent)
-    threshold = tol * float(gen.kappa.max()) * (float(gen.n_th.max()) or 1.0)
-    if residual > threshold:
-        raise ToleranceNotMet(
-            f"stationary moment residual {residual:.3e} exceeds {threshold:.3e}"
-        )
+    _check_residual(residual, gen.kappa, gen.n_th, tol, "moment")
     return SteadyState(occupations=np.ldexp(np.real(x[::3]), exponent), residual=residual)

@@ -52,14 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    SingularSystem,
-    ToleranceNotMet,
-    TruncationWarning,
-)
+from .errors import DimensionTooLarge, SingularSystem, TruncationWarning
 from .dynamics import Trajectory, _expm_taylor
 from .model import ChainSpec, build_hopping_matrix
+from .steady import _check_residual
 
 __all__ = [
     "MAX_DIMENSION",
@@ -120,15 +116,21 @@ def _check_dimension(n_modes: int, cutoff: int) -> int:
     return dim
 
 
+def _thermal_populations(spec: ChainSpec, levels: np.ndarray) -> np.ndarray:
+    """Population of each Fock state of :func:`_fock_levels` table ``levels``
+    in the product of truncated single-mode thermal states, renormalized."""
+    n_th = spec.n_th_vector()[:, None]
+    weights = (n_th / (1.0 + n_th)) ** np.arange(levels.max() + 1)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return np.take_along_axis(weights, levels, 1).prod(0)
+
+
 def thermal_state(spec: ChainSpec, cutoff: int) -> FockDensityMatrix:
     """Product of truncated single-mode thermal states, renormalized."""
     _check_dimension(spec.n_modes, cutoff)
-    n_th = spec.n_th_vector()[:, None]
-    weights = (n_th / (1.0 + n_th)) ** np.arange(cutoff)
-    weights /= weights.sum(axis=1, keepdims=True)
-    product = np.take_along_axis(weights, _fock_levels(spec.n_modes, cutoff), 1).prod(0)
+    populations = _thermal_populations(spec, _fock_levels(spec.n_modes, cutoff))
     return FockDensityMatrix(
-        rho=np.diag(product).astype(complex), cutoff=cutoff, n_modes=spec.n_modes
+        rho=np.diag(populations).astype(complex), cutoff=cutoff, n_modes=spec.n_modes
     )
 
 
@@ -146,9 +148,10 @@ def number_state(n_modes: int, cutoff: int, occupations: tuple[int, ...]) -> Foc
     return FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=n_modes)
 
 
-def _warn_on_truncation(state: FockDensityMatrix) -> None:
-    levels = _fock_levels(state.n_modes, state.cutoff)
-    tops = (levels == state.cutoff - 1) @ np.real(np.diag(state.rho))
+def _warn_on_truncation(levels: np.ndarray, populations: np.ndarray) -> None:
+    """Warn when some mode's top level, in the table ``levels``, holds more
+    than ``TOP_LEVEL_LIMIT`` of the Fock states' ``populations``."""
+    tops = (levels == levels.max()) @ populations
     worst = int(np.argmax(tops))
     if tops[worst] > TOP_LEVEL_LIMIT:
         warnings.warn(
@@ -253,13 +256,13 @@ def _liouvillian(
             shift = strides[j] - strides[i]
             hop_cols.append(np.where(raised[i] & lowered[j], states + shift, dim))
             hop_amps.append(-1j * t * (np.sqrt(levels[i]) * np.sqrt(levels[j] + 1)))
-    jump_cols, jump_amps = [], []
-    for i, mode in enumerate(spec.modes):
-        jump_cols += [np.where(lowered[i], states + strides[i], dim),
-                      np.where(raised[i], states - strides[i], dim)]
-        jump_amps += [np.sqrt(mode.kappa * (1.0 + mode.n_th)) * np.sqrt(levels[i] + 1),
-                      np.sqrt(mode.kappa * mode.n_th) * np.sqrt(levels[i])]
-    jump_cols, jump_amps = np.array(jump_cols), np.array(jump_amps)
+    kappa, n_th = spec.kappa_vector()[:, None], spec.n_th_vector()[:, None]
+    # rows 2i and 2i + 1: the down- and the up-jump of mode i
+    jump_cols = np.stack([np.where(lowered, states + strides[:, None], dim),
+                          np.where(raised, states - strides[:, None], dim)], 1)
+    jump_amps = np.stack([np.sqrt(kappa * (1.0 + n_th)) * np.sqrt(levels + 1),
+                          np.sqrt(kappa * n_th) * np.sqrt(levels)], 1)
+    jump_cols, jump_amps = jump_cols.reshape(-1, dim), jump_amps.reshape(-1, dim)
     # each J^dag J is diagonal: J's squared entries, in their columns
     squares = np.zeros((len(jump_cols), dim + 1))
     np.put_along_axis(squares, jump_cols, jump_amps * jump_amps, axis=1)
@@ -322,7 +325,8 @@ def evolve_master_equation(
     if rho0.n_modes != spec.n_modes:
         raise ValueError("initial state and chain have different mode counts")
     t_end = Trajectory.check_end(t_end)
-    total = _fock_levels(rho0.n_modes, rho0.cutoff).sum(axis=0, dtype=np.int16)
+    levels = _fock_levels(rho0.n_modes, rho0.cutoff)
+    total = levels.sum(axis=0, dtype=np.int16)
     occupied = np.unique((total[:, None] - total)[rho0.rho != 0])
     if not occupied.size:
         raise ValueError("initial state has no nonzero entry")
@@ -338,7 +342,7 @@ def evolve_master_equation(
     state = FockDensityMatrix(
         rho=rho / np.trace(rho), cutoff=rho0.cutoff, n_modes=rho0.n_modes
     )
-    _warn_on_truncation(state)
+    _warn_on_truncation(levels, np.real(np.diag(state.rho)))
     return state
 
 
@@ -397,17 +401,22 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     ``eigvals``, no vectors), which together are those of ``R``, locate the
     leading one, ``lambda_1``; two steps of inverse iteration with one real
     LU factorization of ``B - Re(lambda_1) - eps max|lambda|``, ``B`` the
-    even block or ``R``, started from the real coordinates of the thermal
-    state and normalized to unit trace (the sum over the diagonal pairs)
-    after each step, give its eigenvector to rounding; one rounding step
-    past ``lambda_1``, the shift misses an exact ``lambda_1`` (0 at
-    ``n_th = 0``) yet stays far inside the checked gap.  ``L0`` maps the
+    even block or ``R``, started from the thermal populations on the
+    diagonal pairs (0 on the others) and normalized to unit trace (the sum
+    over the diagonal pairs) after each step, give its eigenvector to
+    rounding; one rounding step past ``lambda_1``, the shift misses an
+    exact ``lambda_1`` (0 at ``n_th = 0``) yet stays far inside the checked
+    gap.  ``L0`` maps the
     number-diagonal block into itself, so the residual
     ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is evaluated with the whole of
     ``R``, on the ``rho`` that the coordinates describe.  It scales with
-    the bath, so it is gated on ``tol * max(kappa) * max(n_th)`` (``max(n_th)``
-    taken as 1 when every bath is cold), as in
-    :func:`~nhcool.dynamics.steady_from_dynamics`.
+    the bath, so it passes the gate of
+    :func:`~nhcool.dynamics.steady_from_dynamics`,
+    ``tol * max(kappa) * max(n_th)`` (``max(n_th)`` taken as 1 when every
+    bath is cold; :func:`~nhcool.steady._check_residual`).  Each state's
+    diagonal pair is in the block, in state order, and its coordinate is
+    the state's population, from which the occupations are read: no
+    ``dim x dim`` matrix is formed.
 
     Raises
     ------
@@ -419,7 +428,9 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
         If the number-diagonal block has more than ``MAX_DIMENSION`` rows.
     ToleranceNotMet
         If the max-norm of ``drho/dtau`` at the result exceeds
-        ``tol * max(kappa) * max(n_th)``.
+        ``tol * max(kappa) * max(n_th)``, or is NaN.
+    ValueError
+        If ``tol`` is NaN or negative.
     """
     from scipy.linalg import eigvals, lu_factor, lu_solve
 
@@ -428,7 +439,8 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
         raise SingularSystem("oracle_steady needs kappa > 0 on every mode")
     left, right, swap = _sector_pairs(spec.n_modes, cutoff)
     liouvillian = _liouvillian(spec, cutoff, left, right)
-    real = not np.imag([(bond.t_fwd, bond.t_bwd) for bond in spec.bonds]).any()
+    hop = build_hopping_matrix(spec)
+    real = not (hop.fwd.imag.any() or hop.bwd.imag.any())
     if real:
         keep, sign, block, odd = _parity_blocks(
             liouvillian, left, right, swap, spec.n_modes, cutoff
@@ -448,11 +460,12 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
             f"(gap {gap:.3e})"
         )
     diagonal = left == right
-    shifted = block.copy()
+    shifted = block.copy(order="F")  # so that the LU overwrites it in place
     shifted[np.diag_indices_from(shifted)] -= lead.real + np.finfo(float).eps * scale
     lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
     # start from the thermal state: the fixed point sought is the one its flow reaches
-    vec = _to_real(thermal_state(spec, cutoff).rho[left, right], swap).real[keep]
+    levels = _fock_levels(spec.n_modes, cutoff)
+    vec = np.where(diagonal, _thermal_populations(spec, levels)[left], 0.0)[keep]
     with np.errstate(all="ignore"):  # a singular factor gives inf or nan, caught below
         for _ in range(2):
             vec = lu_solve(lu, vec, check_finite=False)
@@ -465,13 +478,8 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
         vec[keep] = even
     flow = liouvillian @ vec
     residual = float(np.abs(_from_real(flow - flow[diagonal].sum() * vec, swap)).max())
-    threshold = tol * float(kappa.max()) * (float(spec.n_th_vector().max()) or 1.0)
-    if residual > threshold:
-        raise ToleranceNotMet(
-            f"stationary master-equation residual {residual:.3e} exceeds {threshold:.3e}"
-        )
-    rho = np.zeros((cutoff**spec.n_modes,) * 2, dtype=complex)
-    rho[left, right] = _from_real(vec, swap)
-    state = FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=spec.n_modes)
-    _warn_on_truncation(state)
-    return state.occupations()
+    _check_residual(residual, kappa, spec.n_th_vector(), tol, "master-equation")
+    # a diagonal pair's coordinate is its population
+    populations = vec[diagonal]
+    _warn_on_truncation(levels, populations)
+    return levels @ populations

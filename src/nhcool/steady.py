@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRegime, SingularSystem
+from .errors import InvalidRegime, SingularSystem, ToleranceNotMet
 from .model import Bond, ChainSpec, ModeParams, RateMatrix, _canonical_bond, build_rate_matrix
 
 __all__ = [
@@ -46,11 +46,28 @@ class SteadyState:
     |M[i, j]| n_j``, which exceeds ``1e-10 * |b|`` once ``kappa`` is small;
     the occupations themselves remain componentwise accurate there.  From
     :func:`nhcool.dynamics.steady_from_dynamics` it is ``max |dC/dtau|`` of
-    the moment equations at the returned state.
+    the moment equations at the returned state.  That solve, and
+    :func:`nhcool.oracle.oracle_steady`, pass their residual through the one
+    gate :func:`_check_residual`.
     """
 
     occupations: np.ndarray
     residual: float
+
+
+def _check_residual(residual: float, kappa: np.ndarray, n_th: np.ndarray,
+                    tol: float, what: str) -> None:
+    """The residual gate of the stationary solves of the moment equations and
+    the master equation, whose residuals scale with the bath: raise
+    ``ToleranceNotMet`` unless ``residual <= tol * max(kappa) * max(n_th)``,
+    ``max(n_th)`` taken as 1 when every bath is cold.  A NaN residual fails
+    the gate, and a NaN or negative ``tol`` raises ``ValueError``.
+    """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    threshold = tol * float(kappa.max()) * (float(n_th.max()) or 1.0)
+    if not residual <= threshold:
+        raise ToleranceNotMet(f"stationary {what} residual {residual:.3e} exceeds {threshold:.3e}")
 
 
 def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,

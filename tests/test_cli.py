@@ -379,6 +379,28 @@ class TestNonFiniteInputs:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        # at the defaults the oracle deviates by 63.9%, yet a NaN limit passed it
+        ("--max-rel-dev", "nan", "--max-rel-dev must be >= 0, got nan"),
+        ("--dyn-rel-dev", "nan", "--dyn-rel-dev must be >= 0, got nan"),
+        ("--max-rel-dev", "-1", "--max-rel-dev must be >= 0, got -1.0"),
+        ("--tol", "nan", "tol must be >= 0, got nan"),
+        ("--tol", "-1", "tol must be >= 0, got -1.0"),
+    ])
+    def test_oracle_limits_reject_nan_and_negative(self, tmp_path, capsys, flag, value, message):
+        # no TruncationWarning: the limits are checked before the solve, and
+        # the tol gate before the top levels
+        out = tmp_path / "x.csv"
+        assert main(["oracle", flag, value, "--output", str(out)]) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_oracle_infinite_limit_turns_its_check_off(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["oracle", "--max-rel-dev", "inf", "--output", str(out)]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["steady", "--n-modes", "3", "--A", "400"],
         ["chain-profile", "--sizes", "3", "--A", "400"],

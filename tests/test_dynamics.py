@@ -463,6 +463,13 @@ class TestSteadyFromDynamics:
         with pytest.raises(ToleranceNotMet):
             steady_from_dynamics(spec, tol=1e-30)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_tol_that_is_nan_or_negative(self, tol):
+        # a NaN tol used to switch the gate off
+        spec = make_uniform_chain(4, 1.0, LN2, 0.01, 1.0)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            steady_from_dynamics(spec, tol=tol)
+
     def test_tiny_occupations_stay_componentwise_accurate(self):
         # occupations span 12 decades; a plain LU solve without refinement
         # gets the smallest ones wrong in the fourth digit

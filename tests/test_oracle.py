@@ -29,7 +29,14 @@ from nhcool import (
     thermal_state,
 )
 from nhcool.dynamics import _expm_taylor
-from nhcool.oracle import _liouvillian, _parity_blocks, _sector_pairs, _warn_on_truncation
+from nhcool.oracle import (
+    _fock_levels,
+    _liouvillian,
+    _parity_blocks,
+    _sector_pairs,
+    _thermal_populations,
+    _warn_on_truncation,
+)
 
 LN2 = math.log(2.0)
 # a complex bond, a mode without a bath and a mode at zero temperature, whose
@@ -168,6 +175,21 @@ class TestThermalState:
         with pytest.raises(ValueError):
             thermal_state(make_uniform_chain(1, 1.0, 0.0, 0.05, 0.1), 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_populations_are_the_diagonal_of_the_state(self, seed):
+        # the stationary solve starts from these populations alone
+        rng = np.random.default_rng(seed)
+        n_modes = int(rng.integers(1, 4))
+        cutoff = int(rng.integers(2, 6))
+        n_th = rng.uniform(0.0, 3.0, n_modes) * (rng.random(n_modes) < 0.7)  # some modes cold
+        spec = ChainSpec(
+            modes=tuple(ModeParams(0.05, float(m)) for m in n_th),
+            bonds=(Bond(1.0, 0.5),) * (n_modes - 1),
+        )
+        got = _thermal_populations(spec, _fock_levels(n_modes, cutoff))
+        want = np.real(np.diag(thermal_state(spec, cutoff).rho))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 def test_density_matrix_rejects_shape_of_another_space():
     with pytest.raises(ValueError, match="does not fit 2 modes at cutoff 3"):
@@ -218,7 +240,7 @@ class TestFockLayout:
         worst = int(np.argmax(top))
         message = f"top Fock level of mode {worst} holds population {top[worst]:.2e} "
         with pytest.warns(TruncationWarning, match=re.escape(message)):
-            _warn_on_truncation(state)
+            _warn_on_truncation(_fock_levels(3, 3), pops)
 
     @pytest.mark.parametrize("differences", [(0,), (0, 1)])
     def test_liouvillian_assembly_equals_dense_gathers(self, differences):
@@ -615,6 +637,14 @@ class TestOracleSteady:
             with pytest.raises(ToleranceNotMet):
                 oracle_steady(spec, 4, tol=1e-30)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_tol_that_is_nan_or_negative(self, tol):
+        # a NaN tol used to switch the gate off; the gate runs before the
+        # top-level check, so no TruncationWarning comes first
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            oracle_steady(spec, 4, tol=tol)
+
     def test_residual_gate_is_relative_to_the_bath(self):
         # the residual, 1e284 here, scales with kappa n_th = 1e300; at cutoff 3
         # the infinitely hot state is uniform over the levels 0, 1 and 2
@@ -641,6 +671,19 @@ class TestOracleSteady:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_stationary_solve_allocates_a_few_blocks(self):
+        # one mode at cutoff 1024: the solve holds about three 8 MiB blocks;
+        # with a dense thermal and a dense result rho (16 MiB each) it took 56 MiB
+        spec = make_uniform_chain(1, 1.0, 0.0, 0.05, 0.1)
+        tracemalloc.start()
+        try:
+            occ = oracle_steady(spec, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert occ == pytest.approx([0.1], rel=1e-12)
+        assert peak <= 3.5 * 1024**2 * 8
 
     @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
     def test_real_chain_solves_on_the_parity_blocks(self, monkeypatch):

@@ -13,6 +13,7 @@ from nhcool import (
     ModeParams,
     RateMatrix,
     SingularSystem,
+    ToleranceNotMet,
     attached_mode_estimate,
     build_hopping_matrix,
     build_rate_matrix,
@@ -25,6 +26,7 @@ from nhcool import (
     solve_with_attached,
     spectral_occupations,
 )
+from nhcool.steady import _check_residual
 
 LN2 = math.log(2.0)
 
@@ -55,6 +57,15 @@ def exact_rational_solve(rates, kappa, n_th):
     for r in range(n - 1, -1, -1):
         x[r] = (b[r] - sum(m[r][c] * x[c] for c in range(r + 1, n))) / m[r][r]
     return np.array([float(v) for v in x])
+
+
+@pytest.mark.parametrize("residual", [math.nan, 2e-7])
+def test_residual_gate_fails_closed(residual):
+    # the gate of the moment and master-equation solves; a cold bath counts as n_th = 1
+    kappa, n_th = np.array([0.1, 0.05]), np.zeros(2)
+    _check_residual(1e-7, kappa, n_th, 1e-6, "moment")
+    with pytest.raises(ToleranceNotMet, match="stationary moment residual .* exceeds 1.000e-07"):
+        _check_residual(residual, kappa, n_th, 1e-6, "moment")
 
 
 class TestClosedFormTwoMode:

@@ -36,8 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidRegime, SingularSystem
-from .model import ChainSpec, build_hopping_matrix
+from .errors import SingularSystem
+from .model import ChainSpec, _outside_rates, build_hopping_matrix
 from .steady import SteadyState, _check_residual
 
 __all__ = [
@@ -83,8 +83,7 @@ class Trajectory:
 
 _LOG_TOL = -54 * math.log(2)  # half of 2**-53 per Taylor term
 _MAX_STEPS = 100_000
-_EPS = float(np.finfo(float).eps)
-_CONVERGED = 64 * _EPS  # change of a max-normalized power at the flow's limit
+_CONVERGED = 64 * float(np.finfo(float).eps)  # change of a max-normalized power at the flow's limit
 
 
 def _taylor_terms(log_scale: float, log_start: float = 0.0) -> int:
@@ -374,7 +373,10 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     Eliminating a bond's coherences gives the rate
     ``2 (|t_fwd|**2 + t_fwd t_bwd) / (kappa_i + kappa_j)``, and its mirror,
     so the fixed point is real only where every product ``t_fwd t_bwd`` is
-    real, and nonnegative only where those rates are.
+    real, and nonnegative only where those rates are.  Both rules are read
+    from :meth:`~nhcool.model.HoppingMatrix.bond_domain`, which decides the
+    same bonds for :func:`~nhcool.model.build_rate_matrix`, so the two
+    layers refuse exactly the same bonds as outside their domain.
 
     Raises
     ------
@@ -386,7 +388,8 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
         the stationary system is numerically singular.
     InvalidRegime
         If a bond's product ``t_fwd t_bwd`` is not real, or makes one of its
-        two rates negative.
+        two rate numerators negative; the first such bond is named, with
+        the rate layer's message.
     ToleranceNotMet
         If the residual exceeds ``tol * max(kappa) * max(n_th)``, or is NaN
         (the gate :func:`~nhcool.steady._check_residual`).
@@ -396,15 +399,10 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     gen = _MomentGenerator(spec)
     if not np.all(gen.kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")
-    t_fwd, t_bwd = gen.hop.fwd, gen.hop.bwd
-    product = t_fwd * t_bwd
-    slack = np.minimum(np.abs(t_fwd), np.abs(t_bwd)) ** 2 + product.real
-    bad = np.flatnonzero((np.abs(product.imag) > 8 * _EPS * np.abs(product)) | (slack < 0))
+    product, real, numerators = gen.hop.bond_domain()
+    bad = np.flatnonzero(~real | (numerators < 0).any(axis=0))
     if bad.size:
-        raise InvalidRegime(
-            f"bond {bad[0]} has t_fwd t_bwd = {product[bad[0]]:.6g}; the moment fixed point "
-            "is a state only where every product is real and |t|^2 + t_fwd t_bwd >= 0"
-        )
+        raise _outside_rates(bad[0], product, real)
     # Solve for a pump of order one and scale back, as solve_steady_rates does:
     # band(x) multiplies amplitudes by occupations, which overflows on a strong
     # pump long before the occupations do.  Powers of two scale every operation

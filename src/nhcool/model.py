@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentRate
+from .errors import DivergentRate, InvalidRegime
 
 __all__ = [
     "ModeParams",
@@ -120,6 +120,30 @@ class HoppingMatrix:
         """Dense ``n_modes x n_modes`` matrix ``h``, built on each access."""
         return np.diag(self.fwd, -1) + np.diag(self.bwd, 1)
 
+    def bond_domain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bond products, which of them are real, and the two rate numerators.
+
+        This is the one place where ``p = t_fwd t_bwd`` is formed, and the one
+        rule for which bonds each layer accepts.  Returns ``p`` per bond, the
+        mask of bonds whose ``p`` is real (``|Im p| <= 8 eps |p|``), and the
+        ``(2, N - 1)`` numerators ``|t_fwd|**2 + Re p`` and
+        ``|t_bwd|**2 + Re p`` of the forward and backward rates.  The rates
+        see only ``Re p``: a product that is not real makes the moment fixed
+        point complex and can give the chain gain, and a negative numerator
+        makes a rate negative, so :func:`build_rate_matrix` and
+        :func:`~nhcool.dynamics.steady_from_dynamics` accept a bond only
+        where ``p`` is real and neither numerator is negative (else
+        ``InvalidRegime``), and :func:`~nhcool.spectral.diagonalize` only
+        where ``p`` is real and positive.  Entries that overflow come back
+        infinite or NaN, and each layer checks finiteness first.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = self.fwd * self.bwd
+            real = ~(np.abs(product.imag) > 8 * np.finfo(float).eps * np.abs(product))
+            # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
+            numerators = np.float_power(np.abs([self.fwd, self.bwd]), 2) + product.real
+        return product, real, numerators
+
 
 @dataclass(frozen=True)
 class RateMatrix:
@@ -187,24 +211,32 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
         g[i, j] = 2 * (|t_fwd|**2 + Re(t_fwd * t_bwd)) / (kappa_i + kappa_j)
         g[j, i] = 2 * (|t_bwd|**2 + Re(t_fwd * t_bwd)) / (kappa_i + kappa_j)
 
+    The numerators and the domain come from
+    :meth:`HoppingMatrix.bond_domain`: the formula holds only where every
+    product ``t_fwd t_bwd`` is real and both numerators are nonnegative.
+    The first bond that breaks a rule below is named.
+
     Raises
     ------
     DivergentRate
         If a bond with nonzero amplitude joins two modes without dissipation.
     ValueError
         If a bond produces a rate that is not finite (``t**2 exp(2 A)``
-        overflows), or a (necessarily non-canonical) bond a negative rate.
+        overflows).
+    InvalidRegime
+        If a (necessarily non-canonical) bond's product ``t_fwd t_bwd`` is
+        not real, whose imaginary part the rates cannot see, or makes one of
+        its rates negative.
     """
     hop = build_hopping_matrix(spec)
+    product, real, numerators = hop.bond_domain()
     kappa = spec.kappa_vector()
     # a bond with both amplitudes zero has zero rates, whatever its kappas
     ksum = np.where((hop.fwd != 0) | (hop.bwd != 0), kappa[:-1] + kappa[1:], 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cross = (hop.fwd * hop.bwd).real
-        # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
-        fwd, bwd = 2.0 * (np.float_power(np.abs([hop.fwd, hop.bwd]), 2) + cross) / ksum
+        fwd, bwd = 2.0 * numerators / ksum
     finite = np.isfinite(fwd) & np.isfinite(bwd)
-    bad = np.flatnonzero((ksum == 0.0) | ~finite | (fwd < 0) | (bwd < 0))
+    bad = np.flatnonzero((ksum == 0.0) | ~finite | ~real | (numerators < 0).any(axis=0))
     if bad.size:
         k = bad[0]
         if ksum[k] == 0.0:
@@ -217,11 +249,17 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
                 f"bond {k} produces a transition rate that is not finite; "
                 f"2 (|t|^2 + Re(t_fwd t_bwd)) / (kappa_{k} + kappa_{k + 1}) overflows"
             )
-        raise ValueError(
-            f"bond {k} produces a negative transition rate; the rate "
-            "description only applies when |t|^2 + Re(t_fwd t_bwd) >= 0"
-        )
+        raise _outside_rates(k, product, real)
     return RateMatrix(fwd=fwd, bwd=bwd)
+
+
+def _outside_rates(k: int, product: np.ndarray, real: np.ndarray) -> InvalidRegime:
+    """The error for bond ``k``, outside the domain of :meth:`HoppingMatrix.bond_domain`'s rates."""
+    if real[k]:
+        return InvalidRegime(f"bond {k} produces a negative transition rate; the rate "
+                             "description only applies when |t|^2 + Re(t_fwd t_bwd) >= 0")
+    return InvalidRegime(f"bond {k} has t_fwd t_bwd = {product[k]:.6g}, which is not real; "
+                         "a transition rate sees only its real part")
 
 
 # --- configuration mapping -------------------------------------------------

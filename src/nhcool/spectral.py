@@ -119,9 +119,13 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     """Diagonalize a hopping matrix through its Hermitian gauge.
 
     Requires every bond product ``t_fwd * t_bwd`` to be real and strictly
-    positive.  The returned eigenvalues are exactly real and exactly
-    symmetric about zero by construction, and the right eigenvectors, built
-    on first access, satisfy ``h @ psi = eps * psi`` to solver accuracy.
+    positive.  The product, and whether it is real (``|Im p| <= 8 eps |p|``),
+    come from :meth:`~nhcool.model.HoppingMatrix.bond_domain`, the rule the
+    rate and moment layers read too; they raise ``InvalidRegime`` where the
+    product is not real, so every chain accepted here is accepted there.
+    The returned eigenvalues are exactly real and exactly symmetric about
+    zero by construction, and the right eigenvectors, built on first access,
+    satisfy ``h @ psi = eps * psi`` to solver accuracy.
 
     The gauge-symmetrized matrix has zero diagonal and off-diagonal
     ``c_k = sqrt(t_fwd_k * t_bwd_k)``.  With the odd sites ordered before the
@@ -144,23 +148,18 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     SingularBond
         If some bond product vanishes (the chain disconnects there).
     NotGaugeReducible
-        If some bond product is negative or has a nonzero imaginary part.
+        If some bond product is negative or is not real.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = hopping.fwd * hopping.bwd
-        bad = ~np.isfinite(prod) | (np.abs(prod.imag) > 1e-12 * np.abs(prod)) | (prod.real <= 0)
+    prod, real, _ = hopping.bond_domain()
+    bad = ~np.isfinite(prod) | ~real | (prod.real <= 0)
     if bad.any():
         k = int(np.argmax(bad))
         p = prod[k]
         if not np.isfinite(p):
             raise ValueError(f"bond {k}: t_fwd * t_bwd = {p} overflows or is not finite")
         if p == 0:
-            raise SingularBond(
-                f"bond {k} has t_fwd * t_bwd = 0; split the chain there"
-            )
-        raise NotGaugeReducible(
-            f"bond {k}: t_fwd * t_bwd = {p} is not a positive real number"
-        )
+            raise SingularBond(f"bond {k} has t_fwd * t_bwd = 0; split the chain there")
+        raise NotGaugeReducible(f"bond {k}: t_fwd * t_bwd = {p} is not a positive real number")
 
     # Gauge ratio d_{k+1}/d_k = c_k / t_bwd_k maps h to a symmetric
     # tridiagonal matrix with off-diagonal c_k = sqrt(t_fwd_k * t_bwd_k).

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -12,12 +13,16 @@ from nhcool import (
     ChainSpec,
     InvalidRegime,
     ModeParams,
+    NotGaugeReducible,
+    SingularBond,
     SingularSystem,
     ToleranceNotMet,
     Trajectory,
     build_hopping_matrix,
+    build_rate_matrix,
     closed_form_two_mode,
     covariance_rhs,
+    diagonalize,
     dynamics,
     evolve_covariance,
     make_uniform_chain,
@@ -487,19 +492,27 @@ class TestSteadyFromDynamics:
         assert dyn == pytest.approx(rate, rel=1e-12, abs=0.0)
 
     # two modes as in the complex evolve_covariance test: eliminating a bond's
-    # coherences gives the rate 2 (|t_fwd|^2 + t_fwd t_bwd) / (kappa_i + kappa_j)
+    # coherences gives the rate 2 (|t_fwd|^2 + t_fwd t_bwd) / (kappa_i + kappa_j).
+    # The rate layer, which reads only Re(t_fwd t_bwd), must refuse the same
+    # bonds: near a real product its rates move by at most 4e-4 where the
+    # master equation's occupations move by 4% to 21%.
     @pytest.mark.parametrize(
-        "bond",
+        "bond,kappa,n_th",
         [
-            Bond(0.6 + 0.3j, 0.8 - 0.2j),  # product 0.54 + 0.12i: complex occupations
-            Bond(2.0, 0.3j),  # product 0.6i
-            Bond(1j, 2j),  # product -2: a negative rate, as build_rate_matrix finds
+            (Bond(0.6 + 0.3j, 0.8 - 0.2j), (0.05, 0.12), (0.9, 0.2)),  # 0.54 + 0.12i: gain
+            (Bond(2.0, 0.3j), (0.05, 0.12), (0.9, 0.2)),  # product 0.6i: gain
+            (Bond(1j, 2j), (0.05, 0.12), (0.9, 0.2)),  # product -2: a negative rate
+            (Bond(1.0, 1.0 + 0.01j), (0.05, 0.05), (0.01, 0.01)),  # no gain, still complex
+            (Bond(1.0, 1.0 + 0.04j), (0.05, 0.05), (0.01, 0.01)),
         ],
     )
-    def test_rejects_bonds_without_a_real_nonnegative_fixed_point(self, bond):
-        spec = ChainSpec(modes=(ModeParams(0.05, 0.9), ModeParams(0.12, 0.2)), bonds=(bond,))
-        with pytest.raises(InvalidRegime, match="t_fwd t_bwd"):
-            steady_from_dynamics(spec)
+    def test_rejects_bonds_without_a_real_nonnegative_fixed_point(self, bond, kappa, n_th):
+        spec = ChainSpec(modes=tuple(map(ModeParams, kappa, n_th)), bonds=(bond,))
+        for solve in (steady_from_dynamics, solve_steady_chain, build_rate_matrix):
+            with pytest.raises(InvalidRegime, match=r"^bond 0\b.*t_fwd t_bwd"):
+                solve(spec)
+        with pytest.raises(NotGaugeReducible, match=r"^bond 0\b"):
+            diagonalize(build_hopping_matrix(spec))
 
     def test_complex_bond_with_a_real_positive_product_solves(self):
         spec = ChainSpec(
@@ -561,6 +574,48 @@ def test_direct_moment_solve_matches_rate_solver(spec):
     rate = solve_steady_chain(spec).occupations
     assert np.all(dyn >= 0.0)
     assert np.all(np.abs(dyn - rate) <= 1e-9 * rate)
+
+
+@st.composite
+def bond_domain_chains(draw):
+    """2-6 modes with kappa > 0; each bond is a gauge copy or arbitrary.
+
+    A gauge copy ``Bond(t_f e^{i phi}, t_b e^{-i phi})`` of real amplitudes of
+    either sign has a real product, positive or not; arbitrary complex
+    amplitudes almost never do.
+    """
+    n = draw(st.integers(2, 6))
+    amp = st.floats(-3.0, 3.0)
+    gauge_copy = st.builds(
+        lambda t_f, t_b, phi: Bond(t_f * cmath.exp(1j * phi), t_b * cmath.exp(-1j * phi)),
+        amp, amp, st.floats(-math.pi, math.pi),
+    )
+    arbitrary = st.builds(Bond, st.complex_numbers(max_magnitude=3.0),
+                          st.complex_numbers(max_magnitude=3.0))
+    bonds = draw(st.lists(gauge_copy | arbitrary, min_size=n - 1, max_size=n - 1))
+    modes = draw(st.lists(st.builds(ModeParams, st.floats(1e-3, 1.0), st.floats(0.01, 2.0)),
+                          min_size=n, max_size=n))
+    return ChainSpec(modes=tuple(modes), bonds=tuple(bonds))
+
+
+def _accepts(solve, spec):
+    try:
+        return solve(spec)
+    except (InvalidRegime, NotGaugeReducible, SingularBond):
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(bond_domain_chains())
+def test_layers_accept_the_same_bonds(spec):
+    # one rule, HoppingMatrix.bond_domain, decides which chains each layer accepts
+    rate = _accepts(solve_steady_chain, spec)
+    dyn = _accepts(steady_from_dynamics, spec)
+    assert (rate is None) == (dyn is None)
+    if _accepts(lambda s: diagonalize(build_hopping_matrix(s)), spec) is not None:
+        assert rate is not None
+    if rate is not None:
+        assert dyn.occupations == pytest.approx(rate.occupations, rel=1e-9, abs=0.0)
 
 
 class TestTrajectory:

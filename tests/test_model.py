@@ -8,6 +8,7 @@ from nhcool import (
     Bond,
     ChainSpec,
     DivergentRate,
+    InvalidRegime,
     ModeParams,
     build_hopping_matrix,
     build_rate_matrix,
@@ -164,7 +165,7 @@ class TestRateMatrix:
             modes=(ModeParams(0.1, 1.0),) * 3,
             bonds=(Bond(1.0, 1.0), Bond(1.0, -2.0)),
         )
-        with pytest.raises(ValueError, match="bond 1 produces a negative"):
+        with pytest.raises(InvalidRegime, match="bond 1 produces a negative"):
             build_rate_matrix(spec)
 
     @pytest.mark.parametrize("bonds,kappa,k", [

@@ -109,13 +109,12 @@ def cmd_rabi(args) -> int:
 
 def cmd_sweep_a(args) -> int:
     for flag, ea in (("--ea-min", args.ea_min), ("--ea-max", args.ea_max)):
-        if not ea > 0:  # exp(A) of a real A; also rejects nan
-            raise ValueError(f"{flag} is exp(A) and must be positive, got {ea}")
-    rows = [
-        (ea, *steady.closed_form_two_mode(args.t, math.log(ea), args.kappa, args.kappa, args.n_th))
-        for ea in np.linspace(args.ea_min, args.ea_max, args.ea_count)
-    ]
-    _write_csv(args.output, ["exp_asymmetry", "n_1", "n_2"], rows)
+        if not 0 < ea < math.inf:  # exp(A) of a real A; also rejects nan
+            raise ValueError(f"{flag} is exp(A) and must be positive and finite, got {ea}")
+    grid = np.linspace(args.ea_min, args.ea_max, args.ea_count)
+    n1, n2 = steady.closed_form_two_mode(
+        args.t, [math.log(ea) for ea in grid], args.kappa, args.kappa, args.n_th)
+    _write_csv(args.output, ["exp_asymmetry", "n_1", "n_2"], list(zip(grid, n1, n2)))
     return EXIT_OK
 
 
@@ -138,26 +137,35 @@ def cmd_scaling(args) -> int:
     for n in sizes:
         decomp = spectral.diagonalize(build_hopping_matrix(_chain(args, n_modes=n, kappa=0.0)))
         spectral_edge[n] = spectral.spectral_occupations(decomp, args.n_th)[0]
-    rows = []
-    for kappa in args.kappas:
-        plateau = steady.plateau_limit(args.t, args.A, kappa, args.n_th)
-        for n in sizes:
-            spec = _chain(args, n_modes=n, kappa=kappa)
-            n1 = steady.solve_steady_chain(spec).occupations[0]
-            rows.append((n, kappa, n1, plateau, spectral_edge[n]))
+    plateaus = []
+    try:
+        for kappa in args.kappas:
+            plateaus.append(steady.plateau_limit(args.t, args.A, kappa, args.n_th))
+    finally:
+        # The chains of every kappa before a failing plateau come first in the
+        # grid, so an error of theirs is raised in place of the plateau's.
+        grid = [(n, kappa, plateau) for kappa, plateau in zip(args.kappas, plateaus) for n in sizes]
+        chains = [_chain(args, n_modes=n, kappa=kappa) for n, kappa, _ in grid]
+        edge = steady.solve_steady_chain(chains).occupations[:, 0] if chains else []
+    rows = [(n, kappa, n1, plateau, spectral_edge[n])
+            for (n, kappa, plateau), n1 in zip(grid, edge)]
     _write_csv(args.output, ["N", "kappa", "n_1", "plateau", "n_1_spectral"], rows)
     return EXIT_OK
 
 
 def cmd_attached(args) -> int:
     spec = _chain(args)
+    for flag, value in (("--kappa0-min", args.kappa0_min), ("--kappa0-max", args.kappa0_max)):
+        if not 0 < value < math.inf:  # also rejects nan
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+    for flag, value in (("--t0-min", args.t0_min), ("--t0-max", args.t0_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     kappa0_grid = np.geomspace(args.kappa0_min, args.kappa0_max, args.kappa0_count)
     t0_grid = np.linspace(args.t0_min, args.t0_max, args.t0_count)
-    rows = []
-    for k0 in kappa0_grid:
-        mode = ModeParams(k0, spec.modes[0].n_th)
-        for t0 in t0_grid:
-            rows.append((k0, t0, steady.solve_with_attached(spec, mode, t0).occupations[0]))
+    modes = np.array([ModeParams(k0, spec.modes[0].n_th) for k0 in kappa0_grid], dtype=object)
+    n0 = steady.solve_with_attached(spec, modes[:, None], t0_grid).occupations[..., 0]
+    rows = [(k0, t0, n0[i, j]) for i, k0 in enumerate(kappa0_grid) for j, t0 in enumerate(t0_grid)]
     _write_csv(args.output, ["kappa_0", "t_0", "n_0"], rows)
     return EXIT_OK
 

@@ -144,6 +144,27 @@ class HoppingMatrix:
             numerators = np.float_power(np.abs([self.fwd, self.bwd]), 2) + product.real
         return product, real, numerators
 
+    def rate_bands(self, kappa: np.ndarray) -> tuple[RateMatrix, np.ndarray]:
+        """The transition rates of the bands, and the bonds outside their formula.
+
+        Bond ``k`` joins modes ``k`` and ``k + 1`` with the rates
+        ``2 n / (kappa_k + kappa_{k+1})``, ``n`` the two numerators of
+        :meth:`bond_domain`; a bond with both amplitudes zero has zero rates
+        whatever its kappas.  The bands and ``kappa`` may carry leading axes,
+        one chain per index, which broadcast.  Nothing is raised:
+        ``outside[..., k]`` marks a nonzero bond between two modes without
+        dissipation, a rate that is not finite, a product that is not real
+        and a negative numerator, and the rates of such a bond mean nothing.
+        :func:`build_rate_matrix` raises for the first one of a chain.
+        """
+        product, real, numerators = self.bond_domain()
+        ksum = np.where((self.fwd != 0) | (self.bwd != 0), kappa[..., :-1] + kappa[..., 1:], 1.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fwd, bwd = 2.0 * numerators[0] / ksum, 2.0 * numerators[1] / ksum
+        outside = ((ksum == 0.0) | ~(np.isfinite(fwd) & np.isfinite(bwd)) | ~real
+                   | (numerators < 0).any(axis=0))
+        return RateMatrix(fwd=fwd, bwd=bwd), outside
+
 
 @dataclass(frozen=True)
 class RateMatrix:
@@ -203,7 +224,7 @@ def build_hopping_matrix(spec: ChainSpec) -> HoppingMatrix:
     return HoppingMatrix(fwd=fwd, bwd=bwd)
 
 
-def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
+def build_rate_matrix(spec: ChainSpec, kappa: np.ndarray | None = None) -> RateMatrix:
     """Compute the non-reciprocal transition rates of a chain.
 
     For the bond joining modes ``i`` and ``j = i + 1`` the rates are::
@@ -211,10 +232,11 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
         g[i, j] = 2 * (|t_fwd|**2 + Re(t_fwd * t_bwd)) / (kappa_i + kappa_j)
         g[j, i] = 2 * (|t_bwd|**2 + Re(t_fwd * t_bwd)) / (kappa_i + kappa_j)
 
-    The numerators and the domain come from
-    :meth:`HoppingMatrix.bond_domain`: the formula holds only where every
-    product ``t_fwd t_bwd`` is real and both numerators are nonnegative.
-    The first bond that breaks a rule below is named.
+    They come from :meth:`HoppingMatrix.rate_bands`, the numerators and
+    the domain from :meth:`HoppingMatrix.bond_domain`: the formula holds
+    only where every product ``t_fwd t_bwd`` is real and both numerators
+    are nonnegative.  The first bond that breaks a rule below is named.
+    ``kappa`` is ``spec.kappa_vector()``, for a caller that holds it already.
 
     Raises
     ------
@@ -229,28 +251,24 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
         its rates negative.
     """
     hop = build_hopping_matrix(spec)
-    product, real, numerators = hop.bond_domain()
-    kappa = spec.kappa_vector()
-    # a bond with both amplitudes zero has zero rates, whatever its kappas
-    ksum = np.where((hop.fwd != 0) | (hop.bwd != 0), kappa[:-1] + kappa[1:], 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        fwd, bwd = 2.0 * numerators / ksum
-    finite = np.isfinite(fwd) & np.isfinite(bwd)
-    bad = np.flatnonzero((ksum == 0.0) | ~finite | ~real | (numerators < 0).any(axis=0))
-    if bad.size:
-        k = bad[0]
-        if ksum[k] == 0.0:
+    if kappa is None:
+        kappa = spec.kappa_vector()
+    rates, outside = hop.rate_bands(kappa)
+    if outside.any():
+        k = int(np.argmax(outside))
+        if kappa[k] + kappa[k + 1] == 0.0:  # an outside bond is never all zero
             raise DivergentRate(
                 f"bond {k} couples modes {k} and {k + 1} but kappa_{k} + "
                 f"kappa_{k + 1} = 0; the transition rate diverges"
             )
-        if not finite[k]:
+        if not (np.isfinite(rates.fwd[k]) and np.isfinite(rates.bwd[k])):
             raise ValueError(
                 f"bond {k} produces a transition rate that is not finite; "
                 f"2 (|t|^2 + Re(t_fwd t_bwd)) / (kappa_{k} + kappa_{k + 1}) overflows"
             )
+        product, real, _ = hop.bond_domain()
         raise _outside_rates(k, product, real)
-    return RateMatrix(fwd=fwd, bwd=bwd)
+    return rates
 
 
 def _outside_rates(k: int, product: np.ndarray, real: np.ndarray) -> InvalidRegime:

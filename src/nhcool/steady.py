@@ -17,12 +17,14 @@ is tridiagonal and the elimination takes O(N) time and memory.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRegime, SingularSystem, ToleranceNotMet
-from .model import Bond, ChainSpec, ModeParams, RateMatrix, _canonical_bond, build_rate_matrix
+from .model import (Bond, ChainSpec, HoppingMatrix, ModeParams, RateMatrix, _canonical_bond,
+                    build_hopping_matrix, build_rate_matrix)
 
 __all__ = [
     "SteadyState",
@@ -74,43 +76,113 @@ def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,
                rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal balance system by subtraction-free elimination.
 
-    ``up[k], down[k] >= 0`` are the transition rates k -> k+1 and k+1 -> k,
-    ``slack[k] >= 0`` the dissipation of mode k and ``rhs[k] >= 0`` the bath
-    injection.  Factors the transposed system (no fill-in) and keeps the
-    row-sum slack through the elimination, so no cancellation ever occurs.
+    ``up[..., k], down[..., k] >= 0`` are the transition rates k -> k+1 and
+    k+1 -> k, ``slack[..., k] >= 0`` the dissipation of mode k and
+    ``rhs[..., k] >= 0`` the bath injection.  Factors the transposed system
+    (no fill-in) and keeps the row-sum slack through the elimination, so no
+    cancellation ever occurs.
+
+    A single chain (1-D inputs) walks Python floats and raises
+    ``SingularSystem`` at its first zero pivot.  A stack (inputs of shape
+    ``(..., n)`` and ``(..., n - 1)``, one chain per leading index) walks one
+    numpy column per site, with the same operations in the same order, so
+    each row is bitwise its chain's single solve; a singular row comes back
+    non-finite instead.  The elimination runs on one decoupled mode past the
+    end (up 0, down -0.0, slack 1, rhs 0), which makes the last mode's step
+    an ordinary one and changes no bit of a real site: its pivot is ``0 + s
+    = s`` and back substitution adds ``-0.0 * 0``.  A chain padded to a
+    stack's length with such modes therefore keeps its bits too.
     """
-    up, down, s, rhs = up.tolist(), down.tolist(), slack.tolist(), rhs.tolist()
-    n = len(s)
-    x, mult = [0.0] * n, [0.0] * (n - 1)
+    n = slack.shape[-1]
+    up, down, s, rhs = (_sites(v, pad) for v, pad in
+                        ((up, 0.0), (down, -0.0), (slack, 1.0), (rhs, 0.0)))
+    x, mult = [0.0] * n, [0.0] * n
     inflow = -0.0  # up[k - 1] * x[k - 1]; -0.0 + r is r bitwise, also for r = -0.0
-    for k in range(n - 1):
-        pivot = up[k] + s[k]
-        if pivot == 0.0:
-            raise SingularSystem(
-                f"mode {k} has neither outgoing transitions nor dissipation"
-            )
-        mult[k] = down[k] / pivot
-        s[k + 1] += mult[k] * s[k]
-        x[k] = (rhs[k] + inflow) / pivot
-        inflow = up[k] * x[k]
-    if s[n - 1] == 0.0:
-        raise SingularSystem("chain carries no dissipation at all")
-    x[n - 1] = (rhs[n - 1] + inflow) / s[n - 1]
+    try:
+        for k in range(n):
+            pivot = up[k] + s[k]
+            mult[k] = down[k] / pivot
+            s[k + 1] += mult[k] * s[k]
+            x[k] = (rhs[k] + inflow) / pivot
+            inflow = up[k] * x[k]
+    except ZeroDivisionError:  # Python floats only: a stack's row turns non-finite
+        raise SingularSystem(
+            f"mode {k} has neither outgoing transitions nor dissipation"
+        ) from None
     for k in range(n - 2, -1, -1):
         x[k] += mult[k] * x[k + 1]
-    return np.array(x)
+    return np.array(x) if slack.ndim == 1 else np.moveaxis(np.array(x), 0, -1)
+
+
+def _sites(v: np.ndarray, pad: float) -> list:
+    """``v`` and one more site of value ``pad``: a Python float per site for a
+    single chain, a fresh numpy column per site for a stack."""
+    if v.ndim == 1:
+        sites = v.tolist()
+        sites.append(pad)
+        return sites
+    return [*np.moveaxis(v, -1, 0).copy(), np.full(v.shape[:-1], pad)]
 
 
 def _residual(up: np.ndarray, down: np.ndarray, kappa: np.ndarray,
-              injection: np.ndarray, occupations: np.ndarray) -> float:
-    # Evaluated in extended precision so the reported number reflects the
-    # solution, not the evaluation.
-    up, down, k, b, x = (
-        v.astype(np.longdouble) for v in (up, down, kappa, injection, occupations)
-    )
-    outflow = np.append(0.0, down) + np.append(up, 0.0) + k
-    inflow = np.append(0.0, up * x[:-1]) + np.append(down * x[1:], 0.0)
-    return float(np.abs(outflow * x - inflow - b).max())
+              injection: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """Max-norm of ``M n - b`` per chain, of shape ``kappa.shape[:-1]``.
+
+    Evaluated in extended precision so the reported number reflects the
+    solution, not the evaluation.  Row ``k`` of ``M n`` is ``((down[k - 1] +
+    up[k]) + kappa[k]) n[k] - (up[k - 1] n[k - 1] + down[k] n[k + 1])``,
+    with zeros past either end.
+    """
+    n = kappa.shape[-1]
+    zero = np.zeros(kappa.shape[:-1] + (1,))
+    # one long-double array [0, up, 0, down, 0, n, 0, kappa, b], read through slices
+    ld = np.concatenate((zero, up, zero, down, zero, occupations, zero, kappa, injection),
+                        axis=-1).astype(np.longdouble)
+    fwd, bwd, x = ld[..., :n + 1], ld[..., n:2 * n + 1], ld[..., 2 * n:3 * n + 2]
+    k, b = ld[..., 3 * n + 2:4 * n + 2], ld[..., 4 * n + 2:]
+    outflow = bwd[..., :-1] + fwd[..., 1:] + k
+    inflow = fwd[..., :-1] * x[..., :-2] + bwd[..., 1:] * x[..., 2:]
+    return np.abs(outflow * x[..., 1:-1] - inflow - b).max(axis=-1)
+
+
+def _solve(up: np.ndarray, down: np.ndarray, kappa: np.ndarray, n_th: np.ndarray,
+           redo, rejected=np.False_) -> SteadyState:
+    """The balance solve of one chain, or of a stack, whose shapes are checked.
+
+    A single chain raises its own first error.  A stack hands the rows that
+    ``rejected`` marks, whose inputs are not finite and nonnegative, that are
+    singular or whose occupations overflow to :func:`_raise_first`.
+    """
+    values = np.concatenate((up, down, kappa, n_th), axis=-1)
+    valid = ((0 <= values) & (values < math.inf)).all(axis=-1) & ~rejected
+    if kappa.ndim == 1 and not valid:
+        raise ValueError("rates, kappa and n_th must all be finite and nonnegative")
+    # Solve for an injection of order one and scale back: a tiny bath would
+    # otherwise push the elimination into subnormal floats, which lose
+    # relative accuracy.  Powers of two scale every operation exactly, so in
+    # the normal range the result is bitwise that of the unscaled solve.
+    # A stack's failed rows overflow or divide by zero quietly: redo reports them.
+    with np.errstate(all="ignore"):
+        injection = kappa * n_th
+        exponent = np.frexp(injection.max(axis=-1, keepdims=True))[1]
+        occ = np.ldexp(_gth_solve(up, down, kappa, np.ldexp(injection, -exponent)), exponent)
+    bad = ~(valid & np.isfinite(occ).all(axis=-1))
+    if kappa.ndim == 1 and bad:
+        raise ValueError("an occupation overflows the double range")
+    _raise_first(bad, redo)
+    residual = _residual(up, down, kappa, injection, occ)
+    return SteadyState(occupations=occ, residual=float(residual) if kappa.ndim == 1 else
+                       residual.astype(float))
+
+
+def _raise_first(bad: np.ndarray, redo) -> None:
+    """Where ``bad`` marks points of a stack, solve the first in C order alone
+    with ``redo(index)``, which raises that point's own error: the one a loop
+    over the points would have met first."""
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        redo(index)
+        raise AssertionError(f"point {index} fails in its stack but not alone")
 
 
 def solve_steady_rates(
@@ -123,6 +195,15 @@ def solve_steady_rates(
     :func:`nhcool.model.build_rate_matrix`), and relaxes toward ``n_th[k]``
     at rate ``kappa[k]``.  For uniform ``kappa`` and ``n_th`` the solution
     satisfies ``sum_i n_i = n_modes * n_th`` whatever the rates are.
+
+    A stack of chains solves in one elimination: bands of shape ``(..., n -
+    1)`` and ``kappa``, ``n_th`` of shape ``(..., n)``, the same leading
+    axes on all four, give occupations of shape ``(..., n)`` and a residual
+    per chain, each row bitwise its chain's single solve.  A chain shorter
+    than ``n`` is padded with decoupled modes, forward rate 0, backward rate
+    -0.0, kappa 1 and n_th 0, which keep every bit of its real sites and add
+    zero occupations.  An error is that of the first failing chain (in C
+    order of the leading axes), as its single solve reports it.
 
     Raises
     ------
@@ -137,29 +218,40 @@ def solve_steady_rates(
     up, down, kappa, n_th = (
         np.asarray(v, dtype=float) for v in (rates.fwd, rates.bwd, kappa, n_th)
     )
-    n = kappa.size
+    lead, n = kappa.shape[:-1], kappa.shape[-1] if kappa.ndim else 0
     shapes = (up.shape, down.shape, kappa.shape, n_th.shape)
-    if n < 1 or shapes != ((n - 1,), (n - 1,), (n,), (n,)):
+    if n < 1 or shapes != (lead + (n - 1,), lead + (n - 1,), lead + (n,), lead + (n,)):
         raise ValueError(f"need n >= 1 modes and bands of length n - 1, got shapes {shapes}")
-    values = np.concatenate((up, down, kappa, n_th))
-    if not ((0 <= values) & (values < math.inf)).all():
-        raise ValueError("rates, kappa and n_th must all be finite and nonnegative")
-    # Solve for an injection of order one and scale back: a tiny bath would
-    # otherwise push the elimination into subnormal floats, which lose
-    # relative accuracy.  Powers of two scale every operation exactly, so in
-    # the normal range the result is bitwise that of the unscaled solve.
-    with np.errstate(over="ignore"):
-        injection = kappa * n_th
-        _, exponent = math.frexp(float(injection.max()))
-        occ = np.ldexp(_gth_solve(up, down, kappa, np.ldexp(injection, -exponent)), exponent)
-    if not np.isfinite(occ).all():
-        raise ValueError("an occupation overflows the double range")
-    return SteadyState(occupations=occ, residual=_residual(up, down, kappa, injection, occ))
+    return _solve(up, down, kappa, n_th, lambda r: solve_steady_rates(
+        RateMatrix(up[r], down[r]), kappa[r], n_th[r]))
 
 
-def solve_steady_chain(spec: ChainSpec) -> SteadyState:
-    """Stationary occupations of a chain, from its transition-rate bands."""
-    return solve_steady_rates(build_rate_matrix(spec), spec.kappa_vector(), spec.n_th_vector())
+def solve_steady_chain(spec: ChainSpec | Sequence[ChainSpec]) -> SteadyState:
+    """Stationary occupations of a chain, from its transition-rate bands.
+
+    A sequence of chains solves as one stack (see :func:`solve_steady_rates`):
+    occupations of shape ``(len(spec), max n_modes)``, each row zero past its
+    chain's end, and one residual per chain.  An error is the first failing
+    chain's own, as a loop over the chains would raise it.
+    """
+    if isinstance(spec, ChainSpec):
+        kappa = spec.kappa_vector()
+        return solve_steady_rates(build_rate_matrix(spec, kappa), kappa, spec.n_th_vector())
+    specs = tuple(spec)
+    lengths = np.array([s.n_modes for s in specs])
+    sites = np.arange(lengths.max(initial=1)) < lengths[:, None]
+    bonds = sites[:, 1:]
+    fwd, bwd = np.zeros(bonds.shape, complex), np.zeros(bonds.shape, complex)
+    fwd[bonds] = [b.t_fwd for s in specs for b in s.bonds]
+    bwd[bonds] = [b.t_bwd for s in specs for b in s.bonds]
+    kappa, n_th = np.ones(sites.shape), np.zeros(sites.shape)
+    kappa[sites] = [m.kappa for s in specs for m in s.modes]
+    n_th[sites] = [m.n_th for s in specs for m in s.modes]
+    rates, outside = HoppingMatrix(fwd, bwd).rate_bands(kappa)
+    # past its end each chain runs on decoupled modes, as solve_steady_rates pads
+    up, down = np.where(bonds, rates.fwd, 0.0), np.where(bonds, rates.bwd, -0.0)
+    return _solve(up, down, kappa, n_th, lambda r: solve_steady_chain(specs[r[0]]),
+                  rejected=(outside & bonds).any(axis=-1))
 
 
 def closed_form_two_mode(
@@ -173,20 +265,47 @@ def closed_form_two_mode(
 
     Solves the 2 x 2 balance system in closed form; for ``kappa_1 == kappa_2
     == kappa`` this reduces to ``n_1 = (2 g_21 + kappa) n_th / (g_12 + g_21 +
-    kappa)``.
+    kappa)``.  Array arguments broadcast against each other and give arrays
+    ``n_1``, ``n_2`` of their shape, with rates from one stacked
+    :meth:`~nhcool.model.HoppingMatrix.rate_bands`; each entry is bitwise
+    the scalar call's, and an error is the first failing entry's (C order),
+    as the scalar call reports it.
     """
-    if not (kappa_1 > 0 and kappa_2 > 0):
-        raise ValueError("both dissipation rates must be positive")
-    two_mode = ChainSpec(
-        modes=(ModeParams(kappa_1, n_th), ModeParams(kappa_2, n_th)),
-        bonds=(_canonical_bond(coupling, asymmetry),),
-    )
-    g = build_rate_matrix(two_mode)
-    g12, g21 = g.fwd[0], g.bwd[0]
+    args = (coupling, asymmetry, kappa_1, kappa_2, n_th)
+    if all(np.ndim(v) == 0 for v in args):
+        if not (kappa_1 > 0 and kappa_2 > 0):
+            raise ValueError("both dissipation rates must be positive")
+        two_mode = ChainSpec(
+            modes=(ModeParams(kappa_1, n_th), ModeParams(kappa_2, n_th)),
+            bonds=(_canonical_bond(coupling, asymmetry),),
+        )
+        g = build_rate_matrix(two_mode)
+        g12, g21 = g.fwd[0], g.bwd[0]
+    else:
+        coupling, asymmetry, kappa_1, kappa_2, n_th = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in args))
+        bands = np.reshape([_canonical_amplitudes(t, a) for t, a in zip(coupling.flat, asymmetry.flat)],
+                           coupling.shape + (2, 1)).astype(complex)
+        g, outside = HoppingMatrix(bands[..., 0, :], bands[..., 1, :]).rate_bands(
+            np.stack((kappa_1, kappa_2), axis=-1))
+        valid = ((0 < kappa_1) & (kappa_1 < math.inf) & (0 < kappa_2) & (kappa_2 < math.inf)
+                 & (0 <= n_th) & (n_th < math.inf))
+        _raise_first(~valid | outside[..., 0], lambda i: closed_form_two_mode(
+            coupling[i], asymmetry[i], kappa_1[i], kappa_2[i], n_th[i]))
+        g12, g21 = g.fwd[..., 0], g.bwd[..., 0]
     det = g12 * kappa_2 + kappa_1 * g21 + kappa_1 * kappa_2
     n1 = n_th * (kappa_1 * g21 + kappa_1 * kappa_2 + g21 * kappa_2) / det
     n2 = n_th * (kappa_2 * g12 + kappa_1 * kappa_2 + g12 * kappa_1) / det
     return n1, n2
+
+
+def _canonical_amplitudes(coupling: float, asymmetry: float) -> tuple[float, float]:
+    """The amplitudes of :func:`~nhcool.model._canonical_bond`, NaN where it raises."""
+    try:
+        bond = _canonical_bond(coupling, asymmetry)
+    except ValueError:
+        return math.nan, math.nan
+    return bond.t_fwd, bond.t_bwd
 
 
 def plateau_limit(
@@ -223,9 +342,33 @@ def solve_with_attached(spec: ChainSpec, mode: ModeParams, coupling: float) -> S
     ``mode`` couples Hermitianly, with the real amplitude ``coupling``, to
     the chain's first mode, forming an ``n_modes + 1`` chain that is solved
     exactly; the result lists the attached mode first.
+
+    ``mode`` may also be an array-like of ``ModeParams`` and ``coupling`` an
+    array.  They broadcast against each other to a grid of shape ``S``,
+    which solves as one stack (see :func:`solve_steady_rates`):
+    occupations of shape ``S + (n_modes + 1,)`` and a residual per point,
+    each bitwise the single call's, and an error is the first failing
+    point's (C order), as the single call reports it.
     """
-    bonds = (Bond(coupling, coupling),) + spec.bonds
-    return solve_steady_chain(ChainSpec(modes=(mode,) + spec.modes, bonds=bonds))
+    modes = np.asarray(mode, dtype=object)
+    shape = np.broadcast_shapes(modes.shape, np.shape(coupling))
+    if not shape:
+        bonds = (Bond(coupling, coupling),) + spec.bonds
+        return solve_steady_chain(ChainSpec(modes=(mode,) + spec.modes, bonds=bonds))
+    coupling = np.broadcast_to(coupling, shape)
+
+    def bands(attached, chain):  # the attached mode's entry, then the chain's
+        return np.concatenate((np.broadcast_to(attached, shape)[..., None],
+                               np.broadcast_to(chain, shape + chain.shape)), axis=-1)
+
+    hop = build_hopping_matrix(spec)
+    kappa = bands(np.reshape([m.kappa for m in modes.flat], modes.shape), spec.kappa_vector())
+    n_th = bands(np.reshape([m.n_th for m in modes.flat], modes.shape), spec.n_th_vector())
+    rates, outside = HoppingMatrix(bands(coupling, hop.fwd), bands(coupling, hop.bwd)).rate_bands(kappa)
+    modes = np.broadcast_to(modes, shape)
+    return _solve(rates.fwd, rates.bwd, kappa, n_th,
+                  lambda i: solve_with_attached(spec, modes[i], coupling[i]),
+                  rejected=~np.isfinite(coupling) | outside.any(axis=-1))
 
 
 def attached_mode_estimate(mode: ModeParams, coupling: float, kappa_edge: float,

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhcool import oracle
+from nhcool import cli, oracle, spectral, steady
 from nhcool.cli import CHAIN_FLAGS, build_parser, main
+from nhcool.model import HoppingMatrix, ModeParams, build_hopping_matrix, chain_from_config
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -442,6 +443,7 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("flag,value", [
         ("--ea-min", "0"), ("--ea-min", "-1"), ("--ea-max", "0"), ("--ea-max", "nan"),
+        ("--ea-max", "inf"), ("--ea-min", "inf"),
     ])
     def test_sweep_a_rejects_nonpositive_exp_asymmetry(self, tmp_path, capsys, flag, value):
         # math.log(e^A) failed with "math domain error", which named no flag
@@ -450,12 +452,106 @@ class TestNonFiniteInputs:
         assert f"usage error: {flag} is exp(A) and must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--kappa0-max", "inf", "--kappa0-max must be positive and finite, got inf"),
+        ("--kappa0-max", "-1", "--kappa0-max must be positive and finite, got -1.0"),
+        ("--kappa0-min", "0", "--kappa0-min must be positive and finite, got 0.0"),
+        ("--kappa0-min", "nan", "--kappa0-min must be positive and finite, got nan"),
+        ("--t0-max", "inf", "--t0-max must be finite, got inf"),
+        ("--t0-min", "nan", "--t0-min must be finite, got nan"),
+    ])
+    def test_attached_grid_bounds_are_one_usage_error(self, tmp_path, flag, value, message):
+        # numpy built the grid first: a RuntimeWarning, then an error that named no flag
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhcool.cli", "attached", flag, value, "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_scaling_plateau_overflow_is_usage_error(self, tmp_path, capsys):
         # plateau_limit ran before any rate check and raised OverflowError (exit 1)
         out = tmp_path / "x.csv"
         assert main(["scaling", "--A", "400", "--n-max", "3", "--output", str(out)]) == 2
         assert "usage error: t**2 exp(2 A) is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+# --- grid commands: one stacked solve, the CSV of point-by-point calls ---------
+
+GRID_CONFIGS = {
+    # per-bond overrides as in the benchmark's sweeps
+    "bonds": {"t": 1.02, "A": 0.67, "kappa": 0.01, "n_th": 1.0, "bonds": [
+        {"index": k, "t": 1.0 + 0.013 * (k - 4), "A": LN2 * (1.0 + 0.021 * (4 - k))}
+        for k in range(9)]},
+    "A3": {"t": 1.0, "A": 3.0, "kappa": 1e-6, "n_th": 1.0},
+}
+GRID_ARGV = {
+    "attached": ["attached", "--kappa0-count", "7", "--t0-count", "5"],
+    "sweep-A": ["sweep-A", "--ea-count", "60"],
+    "scaling": ["scaling", "--n-min", "10", "--n-max", "40"],
+}
+
+
+def _pointwise_csv(command, cfg):
+    """The CSV of ``GRID_ARGV[command]``, from one public call per grid point."""
+    t, a, kappa, n_th = cfg["t"], cfg["A"], cfg["kappa"], cfg["n_th"]
+
+    def chain(**keys):
+        return chain_from_config({"t": t, "A": a, "kappa": kappa, "n_th": n_th,
+                                  "bonds": cfg.get("bonds"), **keys})
+
+    if command == "attached":
+        spec = chain(n_modes=15)
+        header, rows = ["kappa_0", "t_0", "n_0"], [
+            (k0, t0, steady.solve_with_attached(spec, ModeParams(k0, n_th), t0).occupations[0])
+            for k0 in np.geomspace(1e-4, 1e-1, 7) for t0 in np.linspace(0.05, 2.0, 5)]
+    elif command == "sweep-A":
+        header, rows = ["exp_asymmetry", "n_1", "n_2"], [
+            (ea, *steady.closed_form_two_mode(t, math.log(ea), kappa, kappa, n_th))
+            for ea in np.linspace(1.0, 5.0, 60)]
+    else:
+        edge = {n: spectral.spectral_occupations(spectral.diagonalize(
+            build_hopping_matrix(chain(n_modes=n, kappa=0.0))), n_th)[0] for n in range(10, 41)}
+        header, rows = ["N", "kappa", "n_1", "plateau", "n_1_spectral"], [
+            (n, k, steady.solve_steady_chain(chain(n_modes=n, kappa=k)).occupations[0],
+             steady.plateau_limit(t, a, k, n_th), edge[n])
+            for k in (1e-4, 1e-3, 1e-2) for n in range(10, 41)]
+    return ",".join(header) + "\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("config", sorted(GRID_CONFIGS))
+@pytest.mark.parametrize("command", sorted(GRID_ARGV))
+def test_grid_csv_is_the_pointwise_csv(tmp_path, command, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(GRID_CONFIGS[config]))
+    out = tmp_path / "grid.csv"
+    assert main([*GRID_ARGV[command], "--config", str(cfg), "--output", str(out)]) == 0
+    assert out.read_text() == _pointwise_csv(command, GRID_CONFIGS[config])
+
+
+@pytest.mark.parametrize("command,eliminations", [("attached", 1), ("scaling", 1), ("sweep-A", 0)])
+def test_grid_is_one_stacked_solve(tmp_path, monkeypatch, command, eliminations):
+    # a return to point-by-point solving fails here without a timer
+    calls = {"gth": [], "rates": 0}
+    gth_solve, rate_bands = steady._gth_solve, HoppingMatrix.rate_bands
+
+    def counted_gth(up, down, slack, rhs):
+        calls["gth"].append(slack.ndim > 1)
+        return gth_solve(up, down, slack, rhs)
+
+    def counted_rates(self, kappa):
+        calls["rates"] += 1
+        return rate_bands(self, kappa)
+
+    monkeypatch.setattr(steady, "_gth_solve", counted_gth)
+    monkeypatch.setattr(HoppingMatrix, "rate_bands", counted_rates)
+    assert main([*GRID_ARGV[command], "--output", str(tmp_path / "x.csv")]) == 0
+    assert calls == {"gth": [True] * eliminations, "rates": 1}
 
 
 # --- the CLI surface ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -562,3 +563,125 @@ class TestRandomChainProperties:
             decomp = diagonalize(build_hopping_matrix(spec))
             occ = spectral_occupations(decomp, thermal[0])
             assert occ == pytest.approx(thermal, rel=1e-12, abs=0.0)
+
+
+# --- stacks of chains -------------------------------------------------------
+#
+# A stack solves many chains in one elimination; each row must be bitwise the
+# chain's single solve, and an error must be the one a loop over the chains
+# would meet first.
+
+def _pad(chains):
+    """The bands of ``(up, down, kappa, n_th)`` chains as one stack, each padded
+    with decoupled modes: rates 0 and -0.0, kappa 1, n_th 0."""
+    width = max(len(kappa) for _, _, kappa, _ in chains)
+
+    def column(i, value, size):
+        return np.array([np.concatenate((c[i], np.full(size - len(c[i]), value))) for c in chains])
+
+    return (RateMatrix(column(0, 0.0, width - 1), column(1, -0.0, width - 1)),
+            column(2, 1.0, width), column(3, 0.0, width))
+
+
+@st.composite
+def rate_chains(draw):
+    """1 to 12 chains of 1 to 60 modes, rates in [1e-3, 1e3], kappa in
+    [1e-9, 1] with some modes (at times all) at 0, n_th in [1e-5, 1e5]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_zero = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    chains = []
+    for n in draw(st.lists(st.integers(1, 60), min_size=1, max_size=12)):
+        up, down = 10.0 ** rng.uniform(-3.0, 3.0, (2, n - 1))
+        kappa = np.where(rng.random(n) < p_zero, 0.0, 10.0 ** rng.uniform(-9.0, 0.0, n))
+        chains.append((up, down, kappa, 10.0 ** rng.uniform(-5.0, 5.0, n)))
+    return chains
+
+
+def _single(solve, *args):
+    """``solve(*args)``, or the ``SingularSystem`` it raises."""
+    try:
+        return solve(*args)
+    except SingularSystem as exc:
+        return exc
+
+
+class TestStackedSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(rate_chains())
+    def test_rows_are_bitwise_single_solves(self, chains):
+        singles = [_single(solve_steady_rates, RateMatrix(up, down), kappa, n_th)
+                   for up, down, kappa, n_th in chains]
+        failed = [s for s in singles if isinstance(s, SingularSystem)]
+        if failed:
+            with pytest.raises(SingularSystem) as info:
+                solve_steady_rates(*_pad(chains))
+            assert str(info.value) == str(failed[0])
+            return
+        stack = solve_steady_rates(*_pad(chains))
+        for row, (single, (_, _, kappa, _)) in enumerate(zip(singles, chains)):
+            n = len(kappa)
+            assert stack.occupations[row, :n].tobytes() == single.occupations.tobytes()
+            assert not stack.occupations[row, n:].any()
+            assert stack.residual[row] == single.residual
+
+    def test_stack_needs_one_leading_shape(self):
+        g = RateMatrix(np.ones((3, 1)), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="n >= 1"):
+            solve_steady_rates(g, np.ones((2, 2)), np.ones((3, 2)))
+
+    def test_chain_sequence_rows_are_single_solves(self):
+        specs = [make_uniform_chain(n, 1.0, a, k, 1.0)
+                 for n, a, k in ((1, 0.0, 0.1), (7, 3.0, 1e-6), (3, LN2, 0.01), (12, -1.0, 1.0))]
+        stack = solve_steady_chain(specs)
+        assert stack.occupations.shape == (4, 12)
+        for row, spec in enumerate(specs):
+            single = solve_steady_chain(spec)
+            assert stack.occupations[row, :spec.n_modes].tobytes() == single.occupations.tobytes()
+            assert stack.residual[row] == single.residual
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_chain_sequence_raises_the_first_failing_chain(self, order):
+        singular = ChainSpec(modes=(ModeParams(0.0, 1.0),), bonds=())
+        divergent = make_uniform_chain(3, 1.0, LN2, 0.0, 1.0)
+        fine = make_uniform_chain(4, 1.0, LN2, 0.01, 1.0)
+        failing = [singular, divergent]
+        specs = [fine, failing[order[0]], fine, failing[order[1]]]
+        with pytest.raises(Exception) as want:
+            solve_steady_chain(failing[order[0]])
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            solve_steady_chain(specs)
+
+    def test_attached_grid_rows_are_single_solves(self):
+        spec = make_uniform_chain(6, 1.0, LN2, 0.01, 0.5)
+        modes = np.array([ModeParams(k, 0.5) for k in (1e-4, 0.03, 2.0)], dtype=object)[:, None]
+        couplings = np.array([0.0, 0.4, 1.5, 7.0])
+        stack = solve_with_attached(spec, modes, couplings)
+        assert stack.occupations.shape == (3, 4, 7)
+        for i, j in np.ndindex(3, 4):
+            single = solve_with_attached(spec, modes[i, 0], couplings[j])
+            assert stack.occupations[i, j].tobytes() == single.occupations.tobytes()
+            assert stack.residual[i, j] == single.residual
+
+    def test_attached_grid_raises_the_first_failing_point(self):
+        spec = make_uniform_chain(3, 1.0, LN2, 0.01, 1.0)
+        couplings = np.array([0.5, 1e200, math.nan])  # a rate overflows before a bond is invalid
+        with pytest.raises(ValueError, match="bond 0 produces a transition rate that is not finite"):
+            solve_with_attached(spec, ModeParams(0.01, 1.0), couplings)
+        with pytest.raises(ValueError, match="bond amplitudes must be finite"):
+            solve_with_attached(spec, ModeParams(0.01, 1.0), couplings[::-1])
+
+    def test_two_mode_arrays_are_scalar_calls(self):
+        asym = np.array([-2.0, 0.0, LN2, 3.0])
+        kappa = np.array([[0.01], [0.5]])
+        n1, n2 = closed_form_two_mode(1.3, asym, kappa, 0.02, 0.7)
+        assert n1.shape == n2.shape == (2, 4)
+        for i, j in np.ndindex(2, 4):
+            assert (n1[i, j], n2[i, j]) == closed_form_two_mode(1.3, asym[j], kappa[i, 0], 0.02, 0.7)
+
+    @pytest.mark.parametrize("asym,message", [
+        ([0.0, 400.0, 800.0], "bond 0 produces a transition rate that is not finite"),
+        ([0.0, 800.0, 400.0], "amplitudes t exp"),
+    ])
+    def test_two_mode_arrays_raise_the_first_failing_point(self, asym, message):
+        with pytest.raises(ValueError, match=message):
+            closed_form_two_mode(1.0, asym, 0.01, 0.01, 1.0)

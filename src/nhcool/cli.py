@@ -1,9 +1,12 @@
 """Command-line front end: single solves, parameter sweeps, CSV output.
 
-Subcommands map one-to-one onto the solver layers; every command writes a
-CSV with a header row, rows in deterministic grid order and floats at full
-double precision, so repeated runs are byte-identical.  ``--output -``
-writes to standard output.
+Subcommands map one-to-one onto the solver layers.  Every command hands
+``_write_csv`` its columns, one mapping from header to column: grid axes
+through ``np.repeat``/``np.tile``, stacked results raveled, site and mode
+labels as ranges.  The header row follows the mapping's order, the rows
+follow the grid's C order, integer columns print as integers and float
+columns at 17 significant digits, so repeated runs are byte-identical.
+``--output -`` writes to standard output.
 
 Each subcommand declares exactly the flags it reads, with their defaults.
 The values of a ``--config`` JSON object become the command's defaults
@@ -59,12 +62,18 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, columns: dict) -> None:
+    """Write ``columns``, a mapping from header to column, as one CSV.
+
+    The header row lists the keys in the mapping's order.  Each column (an
+    array, list or range; all of one length) is converted once to Python
+    values with ``tolist()``, and ``_fmt`` prints an integer as an integer
+    and a float at 17 significant digits.  An empty grid is a usage error.
+    """
+    rows = list(zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True))
     if not rows:
         raise ValueError("the requested grid is empty")
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -76,6 +85,12 @@ def _chain(args: argparse.Namespace, **overrides) -> ChainSpec:
     """The chain of the command's flags and config ``bonds``, with ``overrides``."""
     config = {key: getattr(args, key) for key in CHAIN_FLAGS if hasattr(args, key)}
     return chain_from_config({**config, "bonds": args.bonds, **overrides})
+
+
+def _spectral_occupations(spec: ChainSpec) -> np.ndarray:
+    """The spectral-gauge occupations of ``spec`` at its first mode's bath."""
+    decomp = spectral.diagonalize(build_hopping_matrix(spec))
+    return spectral.spectral_occupations(decomp, spec.modes[0].n_th)
 
 
 def _float_list(text: str) -> list[float]:
@@ -95,15 +110,16 @@ def cmd_rabi(args) -> int:
         raise ValueError("grid must be >= 1")
     if not 1 <= args.start_site <= spec.n_modes:  # sites are 1-based here
         raise ValueError(f"start_site must be in 1..{spec.n_modes}, got {args.start_site}")
-    if args.periods < 0:
+    if not args.periods >= 0:  # also rejects nan
         raise ValueError(f"--periods must be >= 0, got {args.periods}")
     if args.periods == 0 and args.grid > 1:
         raise ValueError(f"--periods 0 gives one time, not --grid {args.grid}; use --grid 1")
-    tau = np.linspace(0.0, args.periods * math.pi / args.t, args.grid)
-    traj = dynamics.single_excitation_trace(spec, args.start_site - 1, tau)
-    header = ["tau"] + [f"n_{i + 1}" for i in range(spec.n_modes)]
-    rows = [(tau[k], *traj.occupations[k]) for k in range(len(tau))]
-    _write_csv(args.output, header, rows)
+    t_end = args.periods * math.pi / args.t  # the chain has checked --t
+    if not math.isfinite(t_end):  # numpy would warn before the trace rejects it
+        raise ValueError(f"--periods * pi / --t must be finite, got {t_end}")
+    tau = np.linspace(0.0, t_end, args.grid)
+    occ = dynamics.single_excitation_trace(spec, args.start_site - 1, tau).occupations
+    _write_csv(args.output, {"tau": tau, **{f"n_{i}": n for i, n in enumerate(occ.T, 1)}})
     return EXIT_OK
 
 
@@ -114,29 +130,25 @@ def cmd_sweep_a(args) -> int:
     grid = np.linspace(args.ea_min, args.ea_max, args.ea_count)
     n1, n2 = steady.closed_form_two_mode(
         args.t, [math.log(ea) for ea in grid], args.kappa, args.kappa, args.n_th)
-    _write_csv(args.output, ["exp_asymmetry", "n_1", "n_2"], list(zip(grid, n1, n2)))
+    _write_csv(args.output, {"exp_asymmetry": grid, "n_1": n1, "n_2": n2})
     return EXIT_OK
 
 
 def cmd_chain_profile(args) -> int:
-    rows = []
+    occ, spectral_occ = [], []
     for n in args.sizes:
         spec = _chain(args, n_modes=n)
-        occ = steady.solve_steady_chain(spec).occupations
-        hn = spectral.spectral_occupations(
-            spectral.diagonalize(build_hopping_matrix(spec)), spec.modes[0].n_th
-        )
-        rows.extend((n, i + 1, occ[i], hn[i]) for i in range(n))
-    _write_csv(args.output, ["N", "site", "n_i", "n_i_spectral"], rows)
+        occ += steady.solve_steady_chain(spec).occupations.tolist()
+        spectral_occ += _spectral_occupations(spec).tolist()
+    sites = [site for n in args.sizes for site in range(1, n + 1)]
+    _write_csv(args.output, {"N": np.repeat(args.sizes, args.sizes), "site": sites,
+                             "n_i": occ, "n_i_spectral": spectral_occ})
     return EXIT_OK
 
 
 def cmd_scaling(args) -> int:
     sizes = range(args.n_min, args.n_max + 1)
-    spectral_edge = {}
-    for n in sizes:
-        decomp = spectral.diagonalize(build_hopping_matrix(_chain(args, n_modes=n, kappa=0.0)))
-        spectral_edge[n] = spectral.spectral_occupations(decomp, args.n_th)[0]
+    spectral_edge = [_spectral_occupations(_chain(args, n_modes=n, kappa=0.0))[0] for n in sizes]
     plateaus = []
     try:
         for kappa in args.kappas:
@@ -144,12 +156,13 @@ def cmd_scaling(args) -> int:
     finally:
         # The chains of every kappa before a failing plateau come first in the
         # grid, so an error of theirs is raised in place of the plateau's.
-        grid = [(n, kappa, plateau) for kappa, plateau in zip(args.kappas, plateaus) for n in sizes]
-        chains = [_chain(args, n_modes=n, kappa=kappa) for n, kappa, _ in grid]
-        edge = steady.solve_steady_chain(chains).occupations[:, 0] if chains else []
-    rows = [(n, kappa, n1, plateau, spectral_edge[n])
-            for (n, kappa, plateau), n1 in zip(grid, edge)]
-    _write_csv(args.output, ["N", "kappa", "n_1", "plateau", "n_1_spectral"], rows)
+        chains = [_chain(args, n_modes=n, kappa=kappa)
+                  for kappa in args.kappas[:len(plateaus)] for n in sizes]
+        edge = steady.solve_steady_chain(chains).occupations[:, 0]
+    _write_csv(args.output, {
+        "N": np.tile(sizes, len(plateaus)), "kappa": np.repeat(args.kappas, len(sizes)),
+        "n_1": edge, "plateau": np.repeat(plateaus, len(sizes)),
+        "n_1_spectral": np.tile(spectral_edge, len(plateaus))})
     return EXIT_OK
 
 
@@ -158,15 +171,16 @@ def cmd_attached(args) -> int:
     for flag, value in (("--kappa0-min", args.kappa0_min), ("--kappa0-max", args.kappa0_max)):
         if not 0 < value < math.inf:  # also rejects nan
             raise ValueError(f"{flag} must be positive and finite, got {value}")
-    for flag, value in (("--t0-min", args.t0_min), ("--t0-max", args.t0_max)):
+    for flag, value in (("--t0-min", args.t0_min), ("--t0-max", args.t0_max),
+                        ("--t0-max - --t0-min", args.t0_max - args.t0_min)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     kappa0_grid = np.geomspace(args.kappa0_min, args.kappa0_max, args.kappa0_count)
     t0_grid = np.linspace(args.t0_min, args.t0_max, args.t0_count)
     modes = np.array([ModeParams(k0, spec.modes[0].n_th) for k0 in kappa0_grid], dtype=object)
     n0 = steady.solve_with_attached(spec, modes[:, None], t0_grid).occupations[..., 0]
-    rows = [(k0, t0, n0[i, j]) for i, k0 in enumerate(kappa0_grid) for j, t0 in enumerate(t0_grid)]
-    _write_csv(args.output, ["kappa_0", "t_0", "n_0"], rows)
+    _write_csv(args.output, {"kappa_0": np.repeat(kappa0_grid, len(t0_grid)),
+                             "t_0": np.tile(t0_grid, len(kappa0_grid)), "n_0": n0.ravel()})
     return EXIT_OK
 
 
@@ -188,8 +202,8 @@ def cmd_oracle(args) -> int:
     n_rate = steady.solve_steady_chain(spec).occupations
     n_dyn = dynamics.steady_from_dynamics(spec, tol=1e-6).occupations
     n_orc = oracle.oracle_steady(spec, args.cutoff, tol=args.tol)
-    rows = [(i + 1, n_rate[i], n_dyn[i], n_orc[i]) for i in range(spec.n_modes)]
-    _write_csv(args.output, ["mode", "n_rate", "n_dynamics", "n_oracle"], rows)
+    _write_csv(args.output, {"mode": range(1, spec.n_modes + 1), "n_rate": n_rate,
+                             "n_dynamics": n_dyn, "n_oracle": n_orc})
     rate_vs_orc = _max_rel_dev(n_orc, n_rate)
     rate_vs_dyn = _max_rel_dev(n_dyn, n_rate)
     if rate_vs_orc > args.max_rel_dev:
@@ -209,12 +223,11 @@ def cmd_steady(args) -> int:
     spec = _chain(args)
     if args.t0 is not None:
         mode = ModeParams(args.kappa0, spec.modes[0].n_th)
-        occ = steady.solve_with_attached(spec, mode, args.t0).occupations
-        rows = [(i, occ[i]) for i in range(len(occ))]  # attached mode is site 0
+        n = steady.solve_with_attached(spec, mode, args.t0).occupations
     else:
-        occ = steady.solve_steady_chain(spec).occupations
-        rows = [(i + 1, occ[i]) for i in range(len(occ))]
-    _write_csv(args.output, ["site", "n"], rows)
+        n = steady.solve_steady_chain(spec).occupations
+    # the chain's sites are 1..N, after the attached mode's site 0
+    _write_csv(args.output, {"site": range(spec.n_modes + 1 - len(n), spec.n_modes + 1), "n": n})
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhcool import cli, oracle, spectral, steady
+from nhcool import cli, dynamics, oracle, spectral, steady
 from nhcool.cli import CHAIN_FLAGS, build_parser, main
 from nhcool.model import HoppingMatrix, ModeParams, build_hopping_matrix, chain_from_config
 
@@ -473,6 +473,31 @@ class TestNonFiniteInputs:
         assert proc.stderr == f"usage error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["attached", "--t0-min=-1e308", "--t0-max", "1e308"],
+         "--t0-max - --t0-min must be finite, got inf"),
+        (["attached", "--t0-min=-1e308", "--t0-max", "1e308", "--t0-count", "1"],
+         "--t0-max - --t0-min must be finite, got inf"),
+        (["rabi", "--periods", "1e308", "--t", "1e-5"],
+         "--periods * pi / --t must be finite, got inf"),
+        (["rabi", "--periods", "1e308", "--t", "1e-5", "--grid", "1"],
+         "--periods * pi / --t must be finite, got inf"),
+        (["rabi", "--periods", "inf"], "--periods * pi / --t must be finite, got inf"),
+        (["rabi", "--periods", "nan"], "--periods must be >= 0, got nan"),
+    ])
+    def test_grid_spans_are_one_usage_error(self, tmp_path, argv, message):
+        # finite bounds whose span overflows: numpy warned while building the
+        # grid, then the solve rejected its nan or inf times naming no flag
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhcool.cli", *argv, "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_scaling_plateau_overflow_is_usage_error(self, tmp_path, capsys):
         # plateau_limit ran before any rate check and raised OverflowError (exit 1)
         out = tmp_path / "x.csv"
@@ -521,6 +546,10 @@ def _pointwise_csv(command, cfg):
             (n, k, steady.solve_steady_chain(chain(n_modes=n, kappa=k)).occupations[0],
              steady.plateau_limit(t, a, k, n_th), edge[n])
             for k in (1e-4, 1e-3, 1e-2) for n in range(10, 41)]
+    return _csv(header, rows)
+
+
+def _csv(header, rows):
     return ",".join(header) + "\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
 
 
@@ -532,6 +561,67 @@ def test_grid_csv_is_the_pointwise_csv(tmp_path, command, config):
     out = tmp_path / "grid.csv"
     assert main([*GRID_ARGV[command], "--config", str(cfg), "--output", str(out)]) == 0
     assert out.read_text() == _pointwise_csv(command, GRID_CONFIGS[config])
+
+
+# the other commands, at the per-bond config (the oracle's chain keeps its first two bonds)
+LIBRARY_ARGV = {
+    "rabi": ["rabi", "--n-modes", "10", "--grid", "40", "--start-site", "3"],
+    "chain-profile": ["chain-profile", "--sizes", "10,13"],
+    "oracle": ["oracle", "--n-modes", "3", "--cutoff", "3", "--max-rel-dev", "inf"],
+    "steady": ["steady", "--n-modes", "10"],
+    "steady --t0": ["steady", "--n-modes", "10", "--t0", "0.7", "--kappa0", "0.02"],
+}
+
+
+def _library_config(command):
+    cfg = GRID_CONFIGS["bonds"]
+    return dict(cfg, bonds=cfg["bonds"][:2]) if command == "oracle" else cfg
+
+
+def _library_csv(command):
+    """The CSV of ``LIBRARY_ARGV[command]``, from the library calls the command makes."""
+    cfg = _library_config(command)
+    t, n_th = cfg["t"], cfg["n_th"]
+
+    def chain(n_modes):
+        return chain_from_config({**cfg, "n_modes": n_modes})
+
+    if command == "rabi":
+        tau = np.linspace(0.0, 2.0 * math.pi / t, 40)
+        occ = dynamics.single_excitation_trace(chain(10), 2, tau).occupations
+        return _csv(["tau"] + [f"n_{i + 1}" for i in range(10)],
+                    [(tau[k], *occ[k]) for k in range(len(tau))])
+    if command == "chain-profile":
+        rows = []
+        for n in (10, 13):
+            spec = chain(n)
+            occ = steady.solve_steady_chain(spec).occupations
+            hn = spectral.spectral_occupations(
+                spectral.diagonalize(build_hopping_matrix(spec)), n_th)
+            rows += [(n, i + 1, occ[i], hn[i]) for i in range(n)]
+        return _csv(["N", "site", "n_i", "n_i_spectral"], rows)
+    if command == "oracle":
+        spec = chain(3)
+        n_rate = steady.solve_steady_chain(spec).occupations
+        n_dyn = dynamics.steady_from_dynamics(spec, tol=1e-6).occupations
+        n_orc = oracle.oracle_steady(spec, 3, tol=1e-8)
+        return _csv(["mode", "n_rate", "n_dynamics", "n_oracle"],
+                    [(i + 1, n_rate[i], n_dyn[i], n_orc[i]) for i in range(3)])
+    if command == "steady":
+        occ = steady.solve_steady_chain(chain(10)).occupations
+        return _csv(["site", "n"], [(i + 1, occ[i]) for i in range(10)])
+    occ = steady.solve_with_attached(chain(10), ModeParams(0.02, n_th), 0.7).occupations
+    return _csv(["site", "n"], [(i, occ[i]) for i in range(11)])  # the attached mode is site 0
+
+
+@pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+@pytest.mark.parametrize("command", sorted(LIBRARY_ARGV))
+def test_csv_is_the_library_csv(tmp_path, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_library_config(command)))
+    out = tmp_path / "out.csv"
+    assert main([*LIBRARY_ARGV[command], "--config", str(cfg), "--output", str(out)]) == 0
+    assert out.read_text() == _library_csv(command)
 
 
 @pytest.mark.parametrize("command,eliminations", [("attached", 1), ("scaling", 1), ("sweep-A", 0)])

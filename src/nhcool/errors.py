@@ -20,7 +20,8 @@ class NotGaugeReducible(CoolingError):
 
 
 class SingularBond(CoolingError):
-    """An interior bond product is zero; the chain disconnects there."""
+    """An interior bond product is zero, or underflows the double range next
+    to the largest one; the chain disconnects there."""
 
 
 class SingularSystem(CoolingError):

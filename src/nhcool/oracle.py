@@ -61,7 +61,6 @@ __all__ = [
     "MAX_DIMENSION",
     "FockDensityMatrix",
     "thermal_state",
-    "number_state",
     "evolve_master_equation",
     "oracle_steady",
 ]
@@ -132,20 +131,6 @@ def thermal_state(spec: ChainSpec, cutoff: int) -> FockDensityMatrix:
     return FockDensityMatrix(
         rho=np.diag(populations).astype(complex), cutoff=cutoff, n_modes=spec.n_modes
     )
-
-
-def number_state(n_modes: int, cutoff: int, occupations: tuple[int, ...]) -> FockDensityMatrix:
-    """Projector onto a single Fock basis state."""
-    dim = _check_dimension(n_modes, cutoff)
-    if len(occupations) != n_modes:
-        raise ValueError("need one occupation per mode")
-    for occ in occupations:
-        if not 0 <= occ < cutoff:
-            raise ValueError(f"occupation {occ} outside 0..{cutoff - 1}")
-    index = np.ravel_multi_index(occupations, (cutoff,) * n_modes)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[index, index] = 1.0
-    return FockDensityMatrix(rho=rho, cutoff=cutoff, n_modes=n_modes)
 
 
 def _warn_on_truncation(levels: np.ndarray, populations: np.ndarray) -> None:

@@ -14,9 +14,8 @@ half-size bidiagonal block that joins them, with no scipy module loaded.
 Each singular triple gives a pair of eigenvalues ``+-sigma`` whose
 eigenvectors have the same ``|psi|**2``, so the decomposition keeps one
 eigenvector per pair, and the spectral occupations are read from its
-weights ``|psi_i|**2``, formed in real log space.  The whole eigenvector
-matrix, the weights of every eigenvector and the complex right eigenvectors
-are assembled only when they are read.
+weights ``|psi_i|**2``, formed in real log space.  The complex right
+eigenvectors are assembled only when they are read.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "SpectralDecomposition",
     "diagonalize",
     "spectral_occupations",
-    "localization_profile",
 ]
 
 
@@ -62,12 +60,14 @@ class SpectralDecomposition:
         ``|psi_i|**2`` of the unit-norm right eigenvector of each column of
         ``pair_vectors``, each column summing to 1.  Formed in real log space,
         so it stays finite however far the gauge grows.
-    ``hermitian_eigenvectors``, ``weights``
-        The real eigenvectors and their weights for the whole spectrum, one
-        column per entry of ``eigenvalues``.
     ``right_eigenvectors``
-        The complex unit-norm right eigenvectors ``psi``; column ``alpha``
-        satisfies ``h @ psi = eigenvalues[alpha] * psi``.
+        The complex unit-norm right eigenvectors ``psi``, one column per entry
+        of ``eigenvalues``; column ``alpha`` satisfies
+        ``h @ psi = eigenvalues[alpha] * psi``.
+
+    Only ``eigenvalues`` carries the scale of the amplitudes: a factor
+    ``2**j`` on every amplitude multiplies it by ``2**j`` exactly and leaves
+    the other arrays unchanged, bit for bit.
     """
 
     eigenvalues: np.ndarray
@@ -79,11 +79,6 @@ class SpectralDecomposition:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def _ascending(self, pair_columns: np.ndarray) -> np.ndarray:
-        # -sigma_0 ... -sigma_{m-1}, then the zero mode and +sigma_{m-1} ... +sigma_0
-        negative = pair_columns[:, : self.n_modes // 2]
-        return np.concatenate((negative, pair_columns[:, ::-1]), axis=1)
-
     @cached_property
     def pair_weights(self) -> np.ndarray:
         # log|v| rather than log(v**2), so a component below 1e-162 does not
@@ -94,25 +89,23 @@ class SpectralDecomposition:
         w += self.log_gauge[:, None]
         w -= w.max(axis=0, keepdims=True)
         w *= 2.0
-        np.exp(w, out=w)
+        # exp rounds these to exactly 0, and numpy's exp is slow where it underflows
+        dead = w <= -746.0
+        np.exp(w, out=w, where=~dead)
+        w[dead] = 0.0
         w /= w.sum(axis=0, keepdims=True)
         return _read_only(w)
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        return _read_only(self._ascending(self.pair_weights))
-
-    @cached_property
-    def hermitian_eigenvectors(self) -> np.ndarray:
-        vecs = self._ascending(self.pair_vectors)
-        vecs[1::2, : self.n_modes // 2] *= -1.0
-        return _read_only(vecs)
-
-    @cached_property
     def right_eigenvectors(self) -> np.ndarray:
-        return _read_only(self.gauge_phase[:, None] * np.copysign(
-            np.sqrt(self.weights), self.hermitian_eigenvectors
-        ))
+        # Columns -sigma_0 ... -sigma_{m-1}, then the zero mode and
+        # +sigma_{m-1} ... +sigma_0; a -sigma column is its partner with the
+        # odd sites negated.
+        half = self.n_modes // 2
+        psi = np.copysign(np.sqrt(self.pair_weights), self.pair_vectors)
+        psi = np.concatenate((psi[:, :half], psi[:, ::-1]), axis=1)
+        psi[1::2, :half] *= -1.0
+        return _read_only(self.gauge_phase[:, None] * psi)
 
 
 def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
@@ -123,6 +116,11 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     come from :meth:`~nhcool.model.HoppingMatrix.bond_domain`, the rule the
     rate and moment layers read too; they raise ``InvalidRegime`` where the
     product is not real, so every chain accepted here is accepted there.
+    Only ratios of the products enter the eigenvectors, so both bands are
+    first multiplied by the power of two that brings the largest product
+    into [1, 4) (at most ``2**1023``), and the eigenvalues are scaled back
+    exactly: a common factor ``2**j`` on every amplitude scales the
+    eigenvalues by ``2**j`` and changes no other bit.
     The returned eigenvalues are exactly real and exactly symmetric about
     zero by construction, and the right eigenvectors, built on first access,
     satisfy ``h @ psi = eps * psi`` to solver accuracy.
@@ -144,27 +142,39 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     Raises
     ------
     ValueError
-        If some bond product ``t_fwd * t_bwd`` overflows or is not finite.
+        If some bond product is not finite after the scaling (an amplitude
+        is not finite, or overflows when scaled), or an eigenvalue overflows.
     SingularBond
-        If some bond product vanishes (the chain disconnects there).
+        If some bond product is zero, or still subnormal after the scaling:
+        the chain disconnects there, to double precision.
     NotGaugeReducible
         If some bond product is negative or is not real.
     """
-    prod, real, _ = hopping.bond_domain()
-    bad = ~np.isfinite(prod) | ~real | (prod.real <= 0)
+    # Both bands are scaled by 2**s, which brings the largest product into
+    # [1, 4): |t_fwd t_bwd| = mant * 2**e with mant in [1/2, 1).
+    with np.errstate(over="ignore", invalid="ignore"):
+        (m_fwd, m_bwd), (e_fwd, e_bwd) = np.frexp(np.abs([hopping.fwd, hopping.bwd]))
+        mant, e = np.frexp(m_fwd * m_bwd)
+        e = (e + e_fwd + e_bwd)[mant > 0]
+        s = min((2 - int(e.max())) // 2, 1023) if e.size else 0
+        scaled = HoppingMatrix(hopping.fwd * 2.0**s, hopping.bwd * 2.0**s)
+    prod, real, _ = scaled.bond_domain()
+    bad = ~np.isfinite(prod) | ~real | ~(prod.real >= np.finfo(float).tiny)
     if bad.any():
         k = int(np.argmax(bad))
-        p = prod[k]
-        if not np.isfinite(p):
-            raise ValueError(f"bond {k}: t_fwd * t_bwd = {p} overflows or is not finite")
-        if p == 0:
-            raise SingularBond(f"bond {k} has t_fwd * t_bwd = 0; split the chain there")
+        p = complex(hopping.fwd[k]) * complex(hopping.bwd[k])
+        if not np.isfinite(prod[k]):
+            raise ValueError(f"bond {k}: t_fwd * t_bwd = {p}, or an amplitude times 2**{s}, "
+                             "is not finite")
+        if real[k] and prod[k].real >= 0:
+            raise SingularBond(f"bond {k}: t_fwd * t_bwd = {p} is zero or underflows once the "
+                               "largest product is scaled into [1, 4); split the chain there")
         raise NotGaugeReducible(f"bond {k}: t_fwd * t_bwd = {p} is not a positive real number")
 
     # Gauge ratio d_{k+1}/d_k = c_k / t_bwd_k maps h to a symmetric
     # tridiagonal matrix with off-diagonal c_k = sqrt(t_fwd_k * t_bwd_k).
     offdiag = np.sqrt(prod.real)
-    ratio = offdiag / hopping.bwd
+    ratio = offdiag / scaled.bwd
     log_gauge = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratio)))))
     gauge_phase = np.concatenate(
         ([1.0 + 0.0j], np.cumprod(ratio / np.abs(ratio)))
@@ -181,8 +191,12 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     pairs[0::2] = ut.T
     pairs[1::2, :m] = v
     pairs[:, :m] *= np.sqrt(0.5)
+    with np.errstate(over="ignore"):
+        eigenvalues = np.ldexp(np.concatenate((-sigma, np.zeros(n - 2 * m), sigma[::-1])), -s)
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError("an eigenvalue overflows the double range")
     return SpectralDecomposition(
-        eigenvalues=np.concatenate((-sigma, np.zeros(n - 2 * m), sigma[::-1])),
+        eigenvalues=eigenvalues,
         pair_vectors=pairs,
         log_gauge=log_gauge,
         gauge_phase=gauge_phase,
@@ -208,18 +222,3 @@ def spectral_occupations(decomp: SpectralDecomposition, n_th: float) -> np.ndarr
     if not np.isfinite(occ).all():
         raise ValueError("an occupation overflows the double range")
     return occ
-
-
-def localization_profile(decomp: SpectralDecomposition) -> np.ndarray:
-    """Magnitudes of successive component ratios for every eigenvector.
-
-    Returns an array of shape ``(n_modes, n_modes - 1)`` whose row ``alpha``
-    holds ``|psi_alpha_{i+1} / psi_alpha_i|``.  Ratios are reported only where
-    the denominator magnitude exceeds 1e-12; other entries are NaN.
-    """
-    mags = np.sqrt(decomp.weights)
-    denom = mags[:-1, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(denom > 1e-12, mags[1:, :] / denom, np.nan)
-    return ratios.T
-

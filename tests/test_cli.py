@@ -145,6 +145,21 @@ class TestChainProfile:
         assert rows[:, 2] == pytest.approx(np.ones(6), rel=1e-10)
         assert rows[:, 3] == pytest.approx(np.ones(6), rel=1e-10)
 
+    def test_spectral_column_is_scale_free(self, tmp_path):
+        # bonds t = 1e-161 (1 + k / 10) have products near 1e-322, with a few
+        # significant bits left: n_1 read 0.0146 against 0.01396 at 2**535
+        # times the amplitudes, with no warning
+        columns = []
+        for j in (0, 535):
+            cfg = tmp_path / f"bonds{j}.json"
+            cfg.write_text(json.dumps({"bonds": [
+                {"index": k, "t": math.ldexp(1e-161 * (1 + 0.1 * k), j)} for k in range(4)]}))
+            out = tmp_path / f"profile{j}.csv"
+            assert main(["chain-profile", "--sizes", "5", "--t", "1e-161", "--config", str(cfg),
+                         "--output", str(out)]) == 0
+            columns.append([line.split(",")[3] for line in out.read_text().splitlines()])
+        assert columns[0] == columns[1]
+
 
 class TestScaling:
     def test_columns_and_monotonicity(self, tmp_path):
@@ -418,8 +433,10 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv,message", [
         (["steady", "--t", "1e200", "--A", "1"],
          "bond 0 produces a transition rate that is not finite"),
-        (["scaling", "--t", "1e200", "--A", "1", "--n-max", "3"],
-         "bond 0: t_fwd * t_bwd = (inf+0j) overflows or is not finite"),
+        # the spectral column scales its bands and passes; the rates
+        # t**2 e^{2A} / kappa overflow
+        (["scaling", "--t", "1e153", "--A", "1", "--n-max", "3"],
+         "bond 0 produces a transition rate that is not finite"),
         # these two wrote inf after two RuntimeWarnings and exited 0
         (["chain-profile", "--sizes", "3", "--n-th", "1e308"],
          "an occupation overflows the double range"),

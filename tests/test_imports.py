@@ -62,8 +62,7 @@ for argv in scipy_free:
 import numpy as np
 from nhcool import (
     build_hopping_matrix, covariance_rhs, diagonalize, evolve_covariance,
-    evolve_master_equation, localization_profile, make_uniform_chain,
-    spectral_occupations, thermal_state,
+    evolve_master_equation, make_uniform_chain, spectral_occupations, thermal_state,
 )
 spec = make_uniform_chain(3, 1.0, 0.5, 0.1, 1.0)
 pair = make_uniform_chain(2, 1.0, 0.5, 0.1, 0.01)
@@ -77,7 +76,7 @@ numpy_only["spectral_occupations"] = []
 for n in (1, 2, 7, 40):
     dec = diagonalize(build_hopping_matrix(make_uniform_chain(n, 1.0, 0.5, 0.0, 1.0)))
     numpy_only["spectral_occupations"].append(spectral_occupations(dec, 1.0).tolist())
-    localization_profile(dec), dec.hermitian_eigenvectors, dec.right_eigenvectors
+    dec.right_eigenvectors
 numpy_only["after_spectral"] = scipy_modules()
 numpy_only["evolve_master_equation"] = evolve_master_equation(
     pair, thermal_state(pair, 3), 1.0).occupations().tolist()

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhcool import (
     Bond,
@@ -12,7 +13,6 @@ from nhcool import (
     SingularBond,
     build_hopping_matrix,
     diagonalize,
-    localization_profile,
     make_uniform_chain,
     spectral_occupations,
 )
@@ -57,6 +57,27 @@ def alternating_chain(n, coupling_odd, asymmetry_odd, coupling_even, asymmetry_e
 
 def symmetric_offdiag(hop):
     return np.sqrt((hop.fwd * hop.bwd).real)
+
+
+def whole_spectrum(dec):
+    """The real eigenvectors and their weights ``|psi|**2`` for the whole
+    ascending spectrum, one column per eigenvalue, from the pair block: the
+    eigenvector of ``-sigma`` is that of ``+sigma`` with the odd sites negated."""
+    half = dec.n_modes // 2
+    vecs, weights = (np.concatenate((pairs[:, :half], pairs[:, ::-1]), axis=1)
+                     for pairs in (dec.pair_vectors, dec.pair_weights))
+    vecs[1::2, :half] *= -1.0
+    return vecs, weights
+
+
+def localization_profile(dec):
+    """``|psi_alpha_{i+1} / psi_alpha_i|`` of every eigenvector, row ``alpha``;
+    NaN where ``|psi_alpha_i|`` is 1e-12 or less."""
+    mags = np.sqrt(whole_spectrum(dec)[1])
+    denom = mags[:-1, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(denom > 1e-12, mags[1:, :] / denom, np.nan)
+    return ratios.T
 
 
 def uniform_closed_form_occupations(n, asymmetries):
@@ -190,10 +211,27 @@ class TestDiagonalize:
             diagonalize(build_hopping_matrix(spec))
 
     @pytest.mark.parametrize("coupling", [1e160, 1e200])
-    def test_overflowing_bond_product_rejected(self, coupling):
-        # t_fwd * t_bwd = t**2 is inf; the eigenvalues and occupations were nan
-        spec = make_uniform_chain(3, coupling, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match=r"^bond 0: t_fwd \* t_bwd = .* not finite"):
+    def test_overflowing_bond_product_is_scaled(self, coupling):
+        # t_fwd * t_bwd = t**2 overflows a double, and the eigenvalues and
+        # occupations were once nan; only the spectrum carries the scale
+        unit, dec = (diagonalize(build_hopping_matrix(make_uniform_chain(3, t, 1.0, 0.0, 1.0)))
+                     for t in (1.0, coupling))
+        assert dec.eigenvalues == pytest.approx(coupling * unit.eigenvalues, rel=1e-14)
+        assert spectral_occupations(dec, 1.0) == pytest.approx(
+            spectral_occupations(unit, 1.0), rel=1e-14)
+
+    def test_overflowing_eigenvalue_rejected(self):
+        # every product fits once scaled, but the eigenvalues +-sqrt(2) t do not
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * 3, bonds=(Bond(1.5e308, 1.5e308),) * 2)
+        with pytest.raises(ValueError, match="an eigenvalue overflows the double range"):
+            diagonalize(build_hopping_matrix(spec))
+
+    def test_underflowing_bond_product_rejected(self):
+        # 1e-320 next to 1 is subnormal after the scaling, with 7 significant
+        # bits left; its weights were returned as if it were exact
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * 3,
+                         bonds=(Bond(1.0, 1.0), Bond(1e-160, 1e-160)))
+        with pytest.raises(SingularBond, match=r"^bond 1: .* underflows"):
             diagonalize(build_hopping_matrix(spec))
 
     def test_complex_bond_with_real_positive_product(self):
@@ -213,10 +251,9 @@ class TestDiagonalize:
         _, dec = decompose_uniform(40)
         spectral_occupations(dec, 1.0)
         # the occupations read only the pair block
-        assert not {"weights", "hermitian_eigenvectors"} & set(vars(dec))
-        localization_profile(dec)
-        assert "right_eigenvectors" not in vars(dec)
-        assert dec.hermitian_eigenvectors.dtype == np.float64
+        fields = {"eigenvalues", "pair_vectors", "log_gauge", "gauge_phase"}
+        assert set(vars(dec)) - fields == {"pair_weights"}
+        assert dec.right_eigenvectors.dtype == np.complex128
 
     @pytest.mark.parametrize(
         "bonds,expected",
@@ -259,6 +296,28 @@ class TestDiagonalize:
             assert dev <= 1e-13
 
 
+@st.composite
+def positive_chains(draw):
+    """1-30 modes joined by bonds with positive amplitudes in [1e-3, 1e3]."""
+    n = draw(st.integers(1, 30))
+    amp = st.floats(1e-3, 1e3)
+    bonds = draw(st.lists(st.builds(Bond, amp, amp), min_size=n - 1, max_size=n - 1))
+    return ChainSpec(modes=(ModeParams(0.0, 1.0),) * n, bonds=tuple(bonds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_chains(), st.integers(-900, 900))
+def test_power_of_two_scale_is_exact(spec, j):
+    # only ratios of the bond products enter the weights: 2**j on every
+    # amplitude scales the spectrum by 2**j and changes nothing else
+    scaled = ChainSpec(modes=spec.modes, bonds=tuple(
+        Bond(math.ldexp(b.t_fwd, j), math.ldexp(b.t_bwd, j)) for b in spec.bonds))
+    base, dec = (diagonalize(build_hopping_matrix(s)) for s in (spec, scaled))
+    assert dec.eigenvalues.tobytes() == np.ldexp(base.eigenvalues, j).tobytes()
+    assert dec.pair_vectors.tobytes() == base.pair_vectors.tobytes()
+    assert spectral_occupations(dec, 1.0).tobytes() == spectral_occupations(base, 1.0).tobytes()
+
+
 class TestBidiagonalEigensolve:
     """The SVD of the odd-by-even block against its defining properties and
     against independent eigensolvers."""
@@ -271,24 +330,26 @@ class TestBidiagonalEigensolve:
         assert np.all(np.diff(ev) >= 0)
         assert np.array_equal(ev, -ev[::-1])
         assert np.count_nonzero(ev == 0.0) == n % 2
-        q = dec.hermitian_eigenvectors
+        q, weights = whole_spectrum(dec)
         assert q.dtype == np.float64 and q.shape == (n, n)
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
         c = symmetric_offdiag(hop)
         t = np.diag(c, 1) + np.diag(c, -1)
         assert np.abs(t @ q - q * ev).max() <= 1e-13 * max(c.max(initial=0.0), 1.0)
         # the ordered weights and the pair block give the same occupations
-        assert spectral_occupations(dec, 1.0) == pytest.approx(dec.weights.sum(axis=1), rel=1e-13)
+        assert spectral_occupations(dec, 1.0) == pytest.approx(weights.sum(axis=1), rel=1e-13)
 
-    def test_pair_block_is_the_nonnegative_half(self):
-        for n in (6, 7):
-            dec = diagonalize(build_hopping_matrix(random_positive_chain(n, seed=3)))
-            half = (n + 1) // 2
-            assert dec.pair_vectors.shape == (n, half)
-            assert np.array_equal(
-                dec.hermitian_eigenvectors[:, ::-1][:, :half], dec.pair_vectors
-            )
-            assert np.array_equal(dec.weights[:, ::-1][:, :half], dec.pair_weights)
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_pair_weights_are_the_plain_formula(self, n):
+        # exp is skipped where its argument is -746 or less, which rounds to
+        # exactly 0; at A = 3 most weights underflow, and every bit agrees
+        _, dec = decompose_uniform(n, asymmetry=3.0)
+        with np.errstate(divide="ignore"):
+            w = np.log(np.abs(dec.pair_vectors)) + dec.log_gauge[:, None]
+        w = np.exp((w - w.max(axis=0)) * 2.0)
+        w /= w.sum(axis=0)
+        assert np.count_nonzero(w) < 0.5 * w.size
+        assert dec.pair_weights.tobytes() == w.tobytes()
 
     def test_eigenvalues_match_scipy_tridiagonal_solver(self):
         from scipy.linalg import eigh_tridiagonal
@@ -323,7 +384,7 @@ class TestBidiagonalEigensolve:
                 weights[:, alpha] = [float(x / norm) for x in col]
             evals = np.array([float(x) for x in evals])
         assert dec.eigenvalues == pytest.approx(evals, rel=1e-13, abs=0.0)
-        assert dec.weights == pytest.approx(weights, rel=1e-10, abs=0.0)
+        assert whole_spectrum(dec)[1] == pytest.approx(weights, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 101, 300, 1000, 1001])
     def test_uniform_occupations_match_sine_eigenvectors(self, n):
@@ -511,7 +572,7 @@ class TestEnvelopes:
     def test_envelope_recovers_sine_profile(self):
         n = 10
         _, dec = decompose_uniform(n)
-        env = np.abs(dec.hermitian_eigenvectors)
+        env = np.abs(whole_spectrum(dec)[0])
         i = np.arange(1, n + 1)
         for alpha_ix in range(n):
             a = n - alpha_ix
@@ -521,7 +582,7 @@ class TestEnvelopes:
 
     def test_envelope_finite_in_overflow_regime(self):
         _, dec = decompose_uniform(250)
-        env = np.abs(dec.hermitian_eigenvectors)
+        env = np.abs(whole_spectrum(dec)[0])
         assert np.all(np.isfinite(env))
 
     def test_envelope_exact_in_overflow_regime(self):
@@ -529,7 +590,7 @@ class TestEnvelopes:
         # edge; the envelope must still be the sine on every site
         n = 250
         _, dec = decompose_uniform(n, asymmetry=3.0)
-        env = np.abs(dec.hermitian_eigenvectors)
+        env = np.abs(whole_spectrum(dec)[0])
         i = np.arange(1, n + 1)
         for alpha_ix in range(n):
             a = n - alpha_ix

@@ -89,10 +89,7 @@ class SpectralDecomposition:
         w += self.log_gauge[:, None]
         w -= w.max(axis=0, keepdims=True)
         w *= 2.0
-        # exp rounds these to exactly 0, and numpy's exp is slow where it underflows
-        dead = w <= -746.0
-        np.exp(w, out=w, where=~dead)
-        w[dead] = 0.0
+        np.exp(w, out=w)
         w /= w.sum(axis=0, keepdims=True)
         return _read_only(w)
 
@@ -108,6 +105,14 @@ class SpectralDecomposition:
         return _read_only(self.gauge_phase[:, None] * psi)
 
 
+def _binary_split(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # band = frac * 2**e exactly, with max(|Re frac|, |Im frac|) in [1/2, 1)
+    e = np.frexp(np.maximum(np.abs(band.real), np.abs(band.imag)))[1]
+    frac = np.empty(np.shape(band), complex)
+    frac.real, frac.imag = np.ldexp(band.real, -e), np.ldexp(band.imag, -e)
+    return frac, e
+
+
 def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     """Diagonalize a hopping matrix through its Hermitian gauge.
 
@@ -116,11 +121,13 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     come from :meth:`~nhcool.model.HoppingMatrix.bond_domain`, the rule the
     rate and moment layers read too; they raise ``InvalidRegime`` where the
     product is not real, so every chain accepted here is accepted there.
-    Only ratios of the products enter the eigenvectors, so both bands are
-    first multiplied by the power of two that brings the largest product
-    into [1, 4) (at most ``2**1023``), and the eigenvalues are scaled back
-    exactly: a common factor ``2**j`` on every amplitude scales the
-    eigenvalues by ``2**j`` and changes no other bit.
+    Only ratios of the products enter the eigenvectors, so each product is
+    formed from the binary fractions of its two amplitudes and multiplied by
+    the power of two that brings the largest product into [1, 4), and the
+    eigenvalues are scaled back exactly: a common factor ``2**j`` on every
+    amplitude scales the eigenvalues by ``2**j`` and changes no other bit,
+    and a bond far smaller or far more lopsided than the others keeps its
+    product and its gauge ratio.
     The returned eigenvalues are exactly real and exactly symmetric about
     zero by construction, and the right eigenvectors, built on first access,
     satisfy ``h @ psi = eps * psi`` to solver accuracy.
@@ -142,43 +149,46 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     Raises
     ------
     ValueError
-        If some bond product is not finite after the scaling (an amplitude
-        is not finite, or overflows when scaled), or an eigenvalue overflows.
+        If an amplitude is not finite, or an eigenvalue overflows.
     SingularBond
         If some bond product is zero, or still subnormal after the scaling:
         the chain disconnects there, to double precision.
     NotGaugeReducible
         If some bond product is negative or is not real.
     """
-    # Both bands are scaled by 2**s, which brings the largest product into
-    # [1, 4): |t_fwd t_bwd| = mant * 2**e with mant in [1/2, 1).
-    with np.errstate(over="ignore", invalid="ignore"):
-        (m_fwd, m_bwd), (e_fwd, e_bwd) = np.frexp(np.abs([hopping.fwd, hopping.bwd]))
-        mant, e = np.frexp(m_fwd * m_bwd)
-        e = (e + e_fwd + e_bwd)[mant > 0]
-        s = min((2 - int(e.max())) // 2, 1023) if e.size else 0
-        scaled = HoppingMatrix(hopping.fwd * 2.0**s, hopping.bwd * 2.0**s)
-    prod, real, _ = scaled.bond_domain()
-    bad = ~np.isfinite(prod) | ~real | ~(prod.real >= np.finfo(float).tiny)
+    # Each product comes from the amplitudes' binary fractions, where it
+    # cannot over- or underflow, and 2**(2 s) brings the largest into [1, 4).
+    (f, e_fwd), (b, e_bwd) = (_binary_split(band) for band in (hopping.fwd, hopping.bwd))
+    frac, real, _ = HoppingMatrix(f, b).bond_domain()
+    live = np.isfinite(frac) & (frac != 0)
+    e = e_fwd + e_bwd + np.frexp(np.abs(frac))[1]
+    s = (2 - int(e[live].max())) // 2 if live.any() else 0
+    prod = np.ldexp(frac.real, e_fwd + e_bwd + 2 * s)
+    bad = ~np.isfinite(prod) | ~real | ~(prod >= np.finfo(float).tiny)
     if bad.any():
         k = int(np.argmax(bad))
         p = complex(hopping.fwd[k]) * complex(hopping.bwd[k])
         if not np.isfinite(prod[k]):
-            raise ValueError(f"bond {k}: t_fwd * t_bwd = {p}, or an amplitude times 2**{s}, "
+            raise ValueError(f"bond {k}: t_fwd = {hopping.fwd[k]} or t_bwd = {hopping.bwd[k]} "
                              "is not finite")
-        if real[k] and prod[k].real >= 0:
+        if real[k] and prod[k] >= 0:
             raise SingularBond(f"bond {k}: t_fwd * t_bwd = {p} is zero or underflows once the "
                                "largest product is scaled into [1, 4); split the chain there")
         raise NotGaugeReducible(f"bond {k}: t_fwd * t_bwd = {p} is not a positive real number")
 
-    # Gauge ratio d_{k+1}/d_k = c_k / t_bwd_k maps h to a symmetric
-    # tridiagonal matrix with off-diagonal c_k = sqrt(t_fwd_k * t_bwd_k).
-    offdiag = np.sqrt(prod.real)
-    ratio = offdiag / scaled.bwd
-    log_gauge = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratio)))))
-    gauge_phase = np.concatenate(
-        ([1.0 + 0.0j], np.cumprod(ratio / np.abs(ratio)))
-    )
+    # Gauge ratio d_{k+1}/d_k = c_k / t_bwd_k = 2**shift * offdiag / frac_bwd
+    # maps h to a symmetric tridiagonal matrix with off-diagonal
+    # c_k = sqrt(t_fwd_k * t_bwd_k), here 2**s c_k.  Its log is taken in one
+    # piece where the ratio is a normal double, else in two, so it stays finite.
+    offdiag = np.sqrt(prod)
+    ratio = offdiag / b
+    shift = -(e_bwd + s)
+    with np.errstate(over="ignore"):
+        mag = np.ldexp(np.abs(ratio), shift)
+    normal = (mag >= np.finfo(float).tiny) & (mag < np.inf)
+    step = np.log(np.where(normal, mag, np.abs(ratio))) + np.where(normal, 0.0, shift * np.log(2.0))
+    log_gauge = np.concatenate(([0.0], np.cumsum(step)))
+    gauge_phase = np.concatenate(([1.0 + 0.0j], np.cumprod(ratio / np.abs(ratio))))
 
     # Bond k joins odd site 2 * (k // 2) + 1 to even site 2 * ((k + 1) // 2).
     n = len(log_gauge)

@@ -234,6 +234,32 @@ class TestDiagonalize:
         with pytest.raises(SingularBond, match=r"^bond 1: .* underflows"):
             diagonalize(build_hopping_matrix(spec))
 
+    @pytest.mark.parametrize("asymmetry,coupling", [(705.0, 1e100), (700.0, 1e8)])
+    def test_lopsided_bond_keeps_its_product(self, asymmetry, coupling):
+        # e^{+-A} has the product 1, far below t**2: scaling both amplitudes
+        # by the 2**s of the largest product would take e^{-A} to 0 or to a
+        # subnormal.  Diagonalizing the unscaled products gives these bits.
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * 3, bonds=(
+            Bond(math.exp(asymmetry), math.exp(-asymmetry)), Bond(coupling, coupling)))
+        dec = diagonalize(build_hopping_matrix(spec))
+        assert dec.eigenvalues.tolist() == [-coupling, 0.0, coupling]
+        assert dec.log_gauge.tolist() == [0.0, asymmetry, asymmetry]
+        assert dec.pair_weights[:, 0].tolist() == [0.0, 0.5, 0.5]
+
+    def test_lopsided_bond_gauge_stays_finite(self):
+        # sqrt(t_fwd t_bwd) / t_bwd = 1e310 overflowed in linear space, every
+        # weight was NaN and the occupations raised an overflow
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * 3,
+                         bonds=(Bond(1e305, 1e-315), Bond(1.0, 1.0)))
+        dec = diagonalize(build_hopping_matrix(spec))
+        assert dec.log_gauge[1] == pytest.approx(0.5 * (math.log(1e305) - math.log(1e-315)))
+        # c = (sqrt(x), 1) with x = 1e-10: the pair +-sqrt(1 + x) lies on
+        # sites 1 and 2 in the ratio 1 + x : 1, the zero mode on site 2; both
+        # sites carry the gauge 714, whose ulp, 1.1e-13, bounds the accuracy
+        x = 1e305 * 1e-315
+        assert spectral_occupations(dec, 1.0) == pytest.approx(
+            [0.0, 2 * (1 + x) / (2 + x), 1 + 2 / (2 + x)], rel=1e-12, abs=0.0)
+
     def test_complex_bond_with_real_positive_product(self):
         # amplitudes may be complex as long as t_fwd * t_bwd > 0
         spec = ChainSpec(
@@ -338,18 +364,6 @@ class TestBidiagonalEigensolve:
         assert np.abs(t @ q - q * ev).max() <= 1e-13 * max(c.max(initial=0.0), 1.0)
         # the ordered weights and the pair block give the same occupations
         assert spectral_occupations(dec, 1.0) == pytest.approx(weights.sum(axis=1), rel=1e-13)
-
-    @pytest.mark.parametrize("n", [300, 301])
-    def test_pair_weights_are_the_plain_formula(self, n):
-        # exp is skipped where its argument is -746 or less, which rounds to
-        # exactly 0; at A = 3 most weights underflow, and every bit agrees
-        _, dec = decompose_uniform(n, asymmetry=3.0)
-        with np.errstate(divide="ignore"):
-            w = np.log(np.abs(dec.pair_vectors)) + dec.log_gauge[:, None]
-        w = np.exp((w - w.max(axis=0)) * 2.0)
-        w /= w.sum(axis=0)
-        assert np.count_nonzero(w) < 0.5 * w.size
-        assert dec.pair_weights.tobytes() == w.tobytes()
 
     def test_eigenvalues_match_scipy_tridiagonal_solver(self):
         from scipy.linalg import eigh_tridiagonal

@@ -158,8 +158,8 @@ class HoppingMatrix:
         :func:`build_rate_matrix` raises for the first one of a chain.
         """
         product, real, numerators = self.bond_domain()
-        ksum = np.where((self.fwd != 0) | (self.bwd != 0), kappa[..., :-1] + kappa[..., 1:], 1.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ksum = np.where((self.fwd != 0) | (self.bwd != 0), kappa[..., :-1] + kappa[..., 1:], 1.0)
             fwd, bwd = 2.0 * numerators[0] / ksum, 2.0 * numerators[1] / ksum
         outside = ((ksum == 0.0) | ~(np.isfinite(fwd) & np.isfinite(bwd)) | ~real
                    | (numerators < 0).any(axis=0))
@@ -224,7 +224,7 @@ def build_hopping_matrix(spec: ChainSpec) -> HoppingMatrix:
     return HoppingMatrix(fwd=fwd, bwd=bwd)
 
 
-def build_rate_matrix(spec: ChainSpec, kappa: np.ndarray | None = None) -> RateMatrix:
+def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
     """Compute the non-reciprocal transition rates of a chain.
 
     For the bond joining modes ``i`` and ``j = i + 1`` the rates are::
@@ -236,7 +236,6 @@ def build_rate_matrix(spec: ChainSpec, kappa: np.ndarray | None = None) -> RateM
     the domain from :meth:`HoppingMatrix.bond_domain`: the formula holds
     only where every product ``t_fwd t_bwd`` is real and both numerators
     are nonnegative.  The first bond that breaks a rule below is named.
-    ``kappa`` is ``spec.kappa_vector()``, for a caller that holds it already.
 
     Raises
     ------
@@ -251,8 +250,7 @@ def build_rate_matrix(spec: ChainSpec, kappa: np.ndarray | None = None) -> RateM
         its rates negative.
     """
     hop = build_hopping_matrix(spec)
-    if kappa is None:
-        kappa = spec.kappa_vector()
+    kappa = spec.kappa_vector()
     rates, outside = hop.rate_bands(kappa)
     if outside.any():
         k = int(np.argmax(outside))

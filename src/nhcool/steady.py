@@ -12,6 +12,15 @@ nonnegative numbers.  Each occupation therefore comes out with componentwise
 relative accuracy of a few ulps regardless of how small ``kappa`` is, and is
 nonnegative by construction.  Rates are nearest-neighbour only, so ``M``
 is tridiagonal and the elimination takes O(N) time and memory.
+
+Every solve here also takes a grid of chains and solves it in one
+elimination (:func:`closed_form_two_mode` in one closed form).  The grid is
+the inputs' leading axes, or the broadcast shape of the array arguments; a
+scalar call is its zero-dimensional point, on the same code path.  Chains
+shorter than the grid's are padded with decoupled modes (forward rate 0,
+backward rate -0.0, kappa 1, n_th 0), which keep every bit of a real site
+and add zero occupations.  Each row is bitwise its chain's single solve, and
+an error is the one that the first failing point in C order raises alone.
 """
 
 from __future__ import annotations
@@ -90,8 +99,7 @@ def _gth_solve(up: np.ndarray, down: np.ndarray, slack: np.ndarray,
     non-finite instead.  The elimination runs on one decoupled mode past the
     end (up 0, down -0.0, slack 1, rhs 0), which makes the last mode's step
     an ordinary one and changes no bit of a real site: its pivot is ``0 + s
-    = s`` and back substitution adds ``-0.0 * 0``.  A chain padded to a
-    stack's length with such modes therefore keeps its bits too.
+    = s`` and back substitution adds ``-0.0 * 0``, as on a grid's padding.
     """
     n = slack.shape[-1]
     up, down, s, rhs = (_sites(v, pad) for v, pad in
@@ -149,13 +157,16 @@ def _solve(up: np.ndarray, down: np.ndarray, kappa: np.ndarray, n_th: np.ndarray
            redo, rejected=np.False_) -> SteadyState:
     """The balance solve of one chain, or of a stack, whose shapes are checked.
 
-    A single chain raises its own first error.  A stack hands the rows that
-    ``rejected`` marks, whose inputs are not finite and nonnegative, that are
-    singular or whose occupations overflow to :func:`_raise_first`.
+    A single chain raises its own first error, through ``redo(())`` when it
+    is ``rejected``.  A stack hands the rows that ``rejected`` marks, whose
+    inputs are not finite and nonnegative, that are singular or whose
+    occupations overflow to :func:`_raise_first`.
     """
     values = np.concatenate((up, down, kappa, n_th), axis=-1)
     valid = ((0 <= values) & (values < math.inf)).all(axis=-1) & ~rejected
     if kappa.ndim == 1 and not valid:
+        if rejected:
+            redo(())
         raise ValueError("rates, kappa and n_th must all be finite and nonnegative")
     # Solve for an injection of order one and scale back: a tiny bath would
     # otherwise push the elimination into subnormal floats, which lose
@@ -196,14 +207,9 @@ def solve_steady_rates(
     at rate ``kappa[k]``.  For uniform ``kappa`` and ``n_th`` the solution
     satisfies ``sum_i n_i = n_modes * n_th`` whatever the rates are.
 
-    A stack of chains solves in one elimination: bands of shape ``(..., n -
-    1)`` and ``kappa``, ``n_th`` of shape ``(..., n)``, the same leading
-    axes on all four, give occupations of shape ``(..., n)`` and a residual
-    per chain, each row bitwise its chain's single solve.  A chain shorter
-    than ``n`` is padded with decoupled modes, forward rate 0, backward rate
-    -0.0, kappa 1 and n_th 0, which keep every bit of its real sites and add
-    zero occupations.  An error is that of the first failing chain (in C
-    order of the leading axes), as its single solve reports it.
+    Bands of shape ``(..., n - 1)`` and ``kappa``, ``n_th`` of shape ``(...,
+    n)``, the same leading axes on all four, are a grid (see the module
+    docstring): occupations of shape ``(..., n)`` and a residual per chain.
 
     Raises
     ------
@@ -229,14 +235,12 @@ def solve_steady_rates(
 def solve_steady_chain(spec: ChainSpec | Sequence[ChainSpec]) -> SteadyState:
     """Stationary occupations of a chain, from its transition-rate bands.
 
-    A sequence of chains solves as one stack (see :func:`solve_steady_rates`):
-    occupations of shape ``(len(spec), max n_modes)``, each row zero past its
-    chain's end, and one residual per chain.  An error is the first failing
-    chain's own, as a loop over the chains would raise it.
+    A sequence of chains is a grid (see the module docstring): occupations
+    of shape ``(len(spec), max n_modes)``, each row zero past its chain's
+    end, and one residual per chain.
     """
     if isinstance(spec, ChainSpec):
-        kappa = spec.kappa_vector()
-        return solve_steady_rates(build_rate_matrix(spec, kappa), kappa, spec.n_th_vector())
+        return solve_steady_rates(build_rate_matrix(spec), spec.kappa_vector(), spec.n_th_vector())
     specs = tuple(spec)
     lengths = np.array([s.n_modes for s in specs])
     sites = np.arange(lengths.max(initial=1)) < lengths[:, None]
@@ -254,49 +258,48 @@ def solve_steady_chain(spec: ChainSpec | Sequence[ChainSpec]) -> SteadyState:
                   rejected=(outside & bonds).any(axis=-1))
 
 
-def closed_form_two_mode(
-    coupling: float,
-    asymmetry: float,
-    kappa_1: float,
-    kappa_2: float,
-    n_th: float,
-) -> tuple[float, float]:
+def closed_form_two_mode(coupling: float, asymmetry: float, kappa_1: float, kappa_2: float,
+                         n_th: float) -> tuple[float, float]:
     """Exact stationary occupations of the canonical two-mode system.
 
     Solves the 2 x 2 balance system in closed form; for ``kappa_1 == kappa_2
     == kappa`` this reduces to ``n_1 = (2 g_21 + kappa) n_th / (g_12 + g_21 +
-    kappa)``.  Array arguments broadcast against each other and give arrays
-    ``n_1``, ``n_2`` of their shape, with rates from one stacked
-    :meth:`~nhcool.model.HoppingMatrix.rate_bands`; each entry is bitwise
-    the scalar call's, and an error is the first failing entry's (C order),
-    as the scalar call reports it.
+    kappa)``.  The arguments broadcast into a grid (see the module
+    docstring) of ``n_1``, ``n_2``, whose rates come from one stacked
+    :meth:`~nhcool.model.HoppingMatrix.rate_bands`; scalar arguments give
+    ``np.float64`` occupations.
     """
-    args = (coupling, asymmetry, kappa_1, kappa_2, n_th)
-    if all(np.ndim(v) == 0 for v in args):
-        if not (kappa_1 > 0 and kappa_2 > 0):
-            raise ValueError("both dissipation rates must be positive")
-        two_mode = ChainSpec(
-            modes=(ModeParams(kappa_1, n_th), ModeParams(kappa_2, n_th)),
-            bonds=(_canonical_bond(coupling, asymmetry),),
-        )
-        g = build_rate_matrix(two_mode)
-        g12, g21 = g.fwd[0], g.bwd[0]
-    else:
-        coupling, asymmetry, kappa_1, kappa_2, n_th = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in args))
-        bands = np.reshape([_canonical_amplitudes(t, a) for t, a in zip(coupling.flat, asymmetry.flat)],
-                           coupling.shape + (2, 1)).astype(complex)
-        g, outside = HoppingMatrix(bands[..., 0, :], bands[..., 1, :]).rate_bands(
-            np.stack((kappa_1, kappa_2), axis=-1))
-        valid = ((0 < kappa_1) & (kappa_1 < math.inf) & (0 < kappa_2) & (kappa_2 < math.inf)
-                 & (0 <= n_th) & (n_th < math.inf))
-        _raise_first(~valid | outside[..., 0], lambda i: closed_form_two_mode(
-            coupling[i], asymmetry[i], kappa_1[i], kappa_2[i], n_th[i]))
-        g12, g21 = g.fwd[..., 0], g.bwd[..., 0]
-    det = g12 * kappa_2 + kappa_1 * g21 + kappa_1 * kappa_2
-    n1 = n_th * (kappa_1 * g21 + kappa_1 * kappa_2 + g21 * kappa_2) / det
-    n2 = n_th * (kappa_2 * g12 + kappa_1 * kappa_2 + g12 * kappa_1) / det
-    return n1, n2
+    coupling, asymmetry, kappa_1, kappa_2, n_th = point = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (coupling, asymmetry, kappa_1, kappa_2, n_th)))
+    bands = np.reshape([_canonical_amplitudes(t, a) for t, a in zip(coupling.flat, asymmetry.flat)],
+                       coupling.shape + (2, 1)).astype(complex)
+    g, outside = HoppingMatrix(bands[..., 0, :], bands[..., 1, :]).rate_bands(
+        np.stack((kappa_1, kappa_2), axis=-1))
+    g12, g21 = g.fwd[..., 0], g.bwd[..., 0]
+    with np.errstate(all="ignore"):  # a failing point's error is raised below
+        det = g12 * kappa_2 + kappa_1 * g21 + kappa_1 * kappa_2
+        inflow = np.array((kappa_1 * g21 + kappa_1 * kappa_2 + g21 * kappa_2,
+                           kappa_2 * g12 + kappa_1 * kappa_2 + g12 * kappa_1))
+        occ = n_th * inflow / det
+        # Where n_th times an inflow overflows before the division, n_th is
+        # scaled into [1/2, 1) and back, as _solve scales its injection.
+        mantissa, exponent = np.frexp(n_th)
+        occ = np.where(np.isfinite(occ), occ, np.ldexp(mantissa * inflow / det, exponent))
+    # a kappa or n_th that is not finite leaves an occupation that is not finite
+    valid = (0 < kappa_1) & (0 < kappa_2) & (0 <= n_th) & ~outside[..., 0]
+    _raise_first(~(valid & np.isfinite(occ).all(axis=0)),
+                 lambda i: _two_mode_error(*(v[i] for v in point)))
+    return tuple(occ)
+
+
+def _two_mode_error(coupling: float, asymmetry: float, kappa_1: float, kappa_2: float,
+                    n_th: float) -> None:
+    """Raise the error of one failing point of :func:`closed_form_two_mode`."""
+    if not (kappa_1 > 0 and kappa_2 > 0):
+        raise ValueError("both dissipation rates must be positive")
+    build_rate_matrix(ChainSpec(modes=(ModeParams(kappa_1, n_th), ModeParams(kappa_2, n_th)),
+                                bonds=(_canonical_bond(coupling, asymmetry),)))
+    raise ValueError("an occupation overflows the double range")
 
 
 def _canonical_amplitudes(coupling: float, asymmetry: float) -> tuple[float, float]:
@@ -308,9 +311,7 @@ def _canonical_amplitudes(coupling: float, asymmetry: float) -> tuple[float, flo
     return bond.t_fwd, bond.t_bwd
 
 
-def plateau_limit(
-    coupling: float, asymmetry: float, kappa: float, n_th: float
-) -> float:
+def plateau_limit(coupling: float, asymmetry: float, kappa: float, n_th: float) -> float:
     """Long-chain floor of the cold-edge occupation at fixed dissipation.
 
     Returns ``kappa**2 * n_th / (kappa**2 + t_fwd**2 - t_bwd**2)`` with
@@ -333,7 +334,9 @@ def plateau_limit(
         gap = math.inf
     if not math.isfinite(gap):
         raise ValueError(f"t**2 exp(2 A) is not finite at t = {coupling}, A = {asymmetry}")
-    return k2 * n_th / (k2 + gap)
+    plateau = k2 * n_th / (k2 + gap)
+    # kappa**2, or kappa**2 n_th, can overflow; the floor itself is at most n_th
+    return plateau if math.isfinite(plateau) else n_th / (1 + gap / kappa / kappa)
 
 
 def solve_with_attached(spec: ChainSpec, mode: ModeParams, coupling: float) -> SteadyState:
@@ -344,31 +347,28 @@ def solve_with_attached(spec: ChainSpec, mode: ModeParams, coupling: float) -> S
     exactly; the result lists the attached mode first.
 
     ``mode`` may also be an array-like of ``ModeParams`` and ``coupling`` an
-    array.  They broadcast against each other to a grid of shape ``S``,
-    which solves as one stack (see :func:`solve_steady_rates`):
-    occupations of shape ``S + (n_modes + 1,)`` and a residual per point,
-    each bitwise the single call's, and an error is the first failing
-    point's (C order), as the single call reports it.
+    array.  They broadcast into a grid of shape ``S`` (see the module
+    docstring): occupations of shape ``S + (n_modes + 1,)`` and a residual
+    per point.
     """
     modes = np.asarray(mode, dtype=object)
     shape = np.broadcast_shapes(modes.shape, np.shape(coupling))
-    if not shape:
-        bonds = (Bond(coupling, coupling),) + spec.bonds
-        return solve_steady_chain(ChainSpec(modes=(mode,) + spec.modes, bonds=bonds))
     coupling = np.broadcast_to(coupling, shape)
 
     def bands(attached, chain):  # the attached mode's entry, then the chain's
         return np.concatenate((np.broadcast_to(attached, shape)[..., None],
                                np.broadcast_to(chain, shape + chain.shape)), axis=-1)
 
+    def single(i):  # the chain of point i, solved alone
+        bonds = (Bond(coupling[i], coupling[i]),) + spec.bonds
+        return solve_steady_chain(ChainSpec(modes=(modes[i],) + spec.modes, bonds=bonds))
+
     hop = build_hopping_matrix(spec)
     kappa = bands(np.reshape([m.kappa for m in modes.flat], modes.shape), spec.kappa_vector())
     n_th = bands(np.reshape([m.n_th for m in modes.flat], modes.shape), spec.n_th_vector())
     rates, outside = HoppingMatrix(bands(coupling, hop.fwd), bands(coupling, hop.bwd)).rate_bands(kappa)
     modes = np.broadcast_to(modes, shape)
-    return _solve(rates.fwd, rates.bwd, kappa, n_th,
-                  lambda i: solve_with_attached(spec, modes[i], coupling[i]),
-                  rejected=~np.isfinite(coupling) | outside.any(axis=-1))
+    return _solve(rates.fwd, rates.bwd, kappa, n_th, single, rejected=outside.any(axis=-1))
 
 
 def attached_mode_estimate(mode: ModeParams, coupling: float, kappa_edge: float,

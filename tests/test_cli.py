@@ -522,6 +522,28 @@ class TestNonFiniteInputs:
         assert "usage error: t**2 exp(2 A) is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,code,stdout,stderr", [
+        (["--ea-max", "1", "--ea-count", "1"], 0, "exp_asymmetry,n_1,n_2\n1,1e+308,1e+308\n", ""),
+        (["--ea-count", "2"], 2, "", "usage error: an occupation overflows the double range\n"),
+    ])
+    def test_sweep_a_bath_near_the_top_of_the_double_range(self, argv, code, stdout, stderr):
+        # n_th times a rate sum overflowed before the division: "1,inf,inf",
+        # two RuntimeWarnings and exit 0
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nhcool.cli", "sweep-A", "--n-th", "1e308",
+             "--ea-min", "1", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+    def test_scaling_plateau_at_huge_kappa(self, tmp_path):
+        # kappa**2 overflowed, and the plateau column read nan
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--kappas", "1e200", "--n-max", "3", "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert rows[:, header.index("plateau")].tolist() == [1.0, 1.0]
+
 
 # --- grid commands: one stacked solve, the CSV of point-by-point calls ---------
 

@@ -450,6 +450,29 @@ class TestBidiagonalEigensolve:
             ref = np.array([float(x) for x in ref])
         assert occ == pytest.approx(ref, rel=1e-10, abs=0.0)
 
+    @pytest.mark.xfail(strict=True, reason="the SVD's zero mode is absolute-accuracy; the gauge lifts its tail")
+    def test_odd_chain_zero_mode_has_relative_accuracy(self):
+        # Dimerized skin chain: N = 101, bond t alternating 1, 3, canonical
+        # A = 1.  The zero mode vanishes on the odd sites, and on the even
+        # ones u_{2j+2} = -u_{2j} c_{2j} / c_{2j+1}, c_k = sqrt(t_fwd t_bwd).
+        # Built from that recurrence in log space it puts 0.835 of its weight
+        # on site 100; the SVD column peaks on site 66, up to 0.88 away, and
+        # n_i_spectral moves with it.
+        n = 101
+        ts = np.where(np.arange(n - 1) % 2 == 0, 1.0, 3.0)
+        spec = ChainSpec(modes=(ModeParams(0.0, 1.0),) * n,
+                         bonds=tuple(Bond(t * math.exp(1.0), t * math.exp(-1.0)) for t in ts))
+        hop = build_hopping_matrix(spec)
+        dec = diagonalize(hop)
+        log_c = 0.5 * np.log((hop.fwd * hop.bwd).real)
+        log_u = np.concatenate(([0.0], np.cumsum(log_c[0::2] - log_c[1::2])))
+        log_w = 2.0 * (log_u + dec.log_gauge[0::2])
+        exact = np.zeros(n)
+        exact[0::2] = np.exp(log_w - log_w.max())
+        exact /= exact.sum()
+        assert exact[-1] == pytest.approx(0.835, abs=5e-4)
+        assert dec.pair_weights[:, -1] == pytest.approx(exact, rel=0.0, abs=1e-10)
+
 
 class TestSpectralOccupations:
     def test_two_mode_values(self):

@@ -118,6 +118,15 @@ class TestClosedFormTwoMode:
         with pytest.raises(ValueError, match="^bond 0 produces a transition rate that is not finite"):
             closed_form_two_mode(1.0, math.log(1e200), 0.01, 0.01, 1.0)
 
+    def test_bath_near_the_top_of_the_double_range(self):
+        # n_th times a rate sum overflowed before the division: (inf, inf)
+        assert closed_form_two_mode(1.0, 0.0, 0.01, 0.01, 1e308) == (1e308, 1e308)
+
+    def test_overflowing_occupation_is_rejected(self):
+        # n_2 = 1.995e308 at A = 3; n_1 stays finite
+        with pytest.raises(ValueError, match="^an occupation overflows the double range$"):
+            closed_form_two_mode(1.0, 3.0, 0.01, 0.01, 1e308)
+
 
 class TestSolveSteadyChain:
     def test_rejects_overflowing_rate(self):
@@ -358,6 +367,15 @@ class TestPlateau:
         # ModeParams' check, and its words
         with pytest.raises(ValueError, match=message):
             plateau_limit(1.0, LN2, kappa, n_th)
+
+    def test_huge_kappa_keeps_the_floor_finite(self):
+        # kappa**2 overflowed, and kappa**2 n_th / (kappa**2 + gap) read inf / inf
+        assert plateau_limit(1.0, LN2, 1e200, 1.0) == 1.0
+
+    def test_huge_bath_keeps_the_floor_finite(self):
+        # kappa**2 n_th overflowed to inf
+        assert plateau_limit(1.0, LN2, 10.0, 1e308) == pytest.approx(
+            1e308 / (1.0 + 3.75 / 100.0), rel=1e-15)
 
     def test_largest_finite_gap_keeps_the_formula(self):
         k2, gap = 0.01 * 0.01, math.exp(708.0) - math.exp(-708.0)
@@ -677,6 +695,56 @@ class TestStackedSolve:
         assert n1.shape == n2.shape == (2, 4)
         for i, j in np.ndindex(2, 4):
             assert (n1[i, j], n2[i, j]) == closed_form_two_mode(1.3, asym[j], kappa[i, 0], 0.02, 0.7)
+
+    # Bits of scalar calls, recorded while the scalar calls had a branch of
+    # their own; the grid path that replaced it keeps them.
+    @pytest.mark.parametrize("args,bits", [
+        ((1.0, LN2, 0.01, 0.01, 1.0), ("0x1.999c1dd5b493dp-2", "0x1.9998f88a92db1p+0")),
+        ((1.3, 0.4, 0.02, 0.07, 0.6), ("0x1.3a9ad60065b1dp-2", "0x1.5e072341c5962p-1")),
+        ((0.7, -1.5, 1e-4, 3.0, 2.5), ("0x1.91581e9029c96p+5", "0x1.3fcbef0db685cp+1")),
+        ((2.0, 3.0, 1e-6, 1e-6, 1e5), ("0x1.ee864e3d17fdfp+8", "0x1.85a8bcd8e1741p+17")),
+        ((1e-3, 0.0, 0.5, 0.5, 0.3), ("0x1.3333333333333p-2", "0x1.3333333333333p-2")),
+    ])
+    def test_two_mode_scalar_bits_are_pinned(self, args, bits):
+        n1, n2 = closed_form_two_mode(*args)
+        assert type(n1) is type(n2) is np.float64
+        assert (n1.hex(), n2.hex()) == bits
+
+    @pytest.mark.parametrize("mode,coupling,bits", [
+        (ModeParams(0.01, 1.0), 1.0, ("0x1.1e77e99285b0ap-5", "0x1.1e12b8b9f762ep-5",
+                                      "0x1.1dd6bd0a6c6eap-3", "0x1.1dc3f698bf529p-1",
+                                      "0x1.1dbf6bfff7703p+1", "0x1.4c36000000000p-45")),
+        (ModeParams(0.02, 0.25), 0.0, ("0x1.0000000000000p-2", "0x1.81be63b2c0901p-6",
+                                       "0x1.81966be1cb100p-4", "0x1.8183eaf882793p-2",
+                                       "0x1.817ea4f4f7ae7p+0", "0x1.6cb6000000000p-45")),
+        (ModeParams(1e-4, 0.5), 0.4, ("0x1.82ad1d1c561c7p-6", "0x1.82a9f5da56888p-6",
+                                      "0x1.828198efd3726p-4", "0x1.826efff4676e4p-2",
+                                      "0x1.8269b52074337p+0", "0x1.0358000000000p-47")),
+        (ModeParams(3.0, 2.0), -1.5, ("0x1.a4abeccf1b2e8p+0", "0x1.4909ea9ee7181p+0",
+                                      "0x1.487eaa54c05c3p+2", "0x1.485d5ee15ae8dp+4",
+                                      "0x1.4856afed12398p+6", "0x1.9607b00000000p-40")),
+        (ModeParams(0.0, 1.0), 0.7, ("0x1.81be63b2c0901p-6", "0x1.81be63b2c0901p-6",
+                                     "0x1.81966be1cb100p-4", "0x1.8183eaf882793p-2",
+                                     "0x1.817ea4f4f7ae7p+0", "0x1.6cb6000000000p-45")),
+    ])
+    def test_attached_scalar_bits_are_pinned(self, mode, coupling, bits):
+        single = solve_with_attached(make_uniform_chain(4, 1.0, LN2, 0.01, 0.5), mode, coupling)
+        assert type(single.residual) is float
+        assert tuple(x.hex() for x in single.occupations.tolist()) + (single.residual.hex(),) == bits
+
+    @pytest.mark.parametrize("mode,coupling,error,message", [
+        (ModeParams(0.0, 1.0), 0.0, SingularSystem,
+         "mode 0 has neither outgoing transitions nor dissipation"),
+        (ModeParams(0.01, 1.0), 1e200, ValueError,
+         "bond 0 produces a transition rate that is not finite; "
+         "2 (|t|^2 + Re(t_fwd t_bwd)) / (kappa_0 + kappa_1) overflows"),
+        (ModeParams(0.01, 1.0), math.nan, ValueError, "bond amplitudes must be finite, got nan, nan"),
+    ])
+    def test_attached_scalar_errors_are_pinned(self, mode, coupling, error, message):
+        spec = make_uniform_chain(4, 1.0, LN2, 0.01, 0.5)
+        with pytest.raises(error) as info:
+            solve_with_attached(spec, mode, coupling)
+        assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize("asym,message", [
         ([0.0, 400.0, 800.0], "bond 0 produces a transition rate that is not finite"),

@@ -2,7 +2,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-COUNTER = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+COUNTER = ROOT / "tools" / "count_code_lines.py"
+CLI_BYTES = ROOT / "tools" / "cli_bytes.py"
 
 SOURCE = '''"""Module docstring,
 on two lines."""
@@ -35,3 +37,11 @@ def test_counts_code_lines_without_comments_blanks_or_docstrings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # import, class, def f, the two-line return, def g, x, the string, return x
     assert proc.stdout.split() == ["9", str(path)]
+
+
+def test_cli_bytes_finds_a_checkout_identical_to_itself():
+    proc = subprocess.run([sys.executable, str(CLI_BYTES), str(ROOT), str(ROOT), "--seeds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7 and all(line.endswith(" identical") for line in lines), proc.stdout

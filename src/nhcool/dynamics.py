@@ -13,15 +13,17 @@ Two engines live here because no single linear equation covers both regimes:
   the second moments ``C[i, j] = <a_i^dag a_j>`` in the presence of
   dissipation, a linear map that need not keep ``C`` a state.
 
-The moment equations are written once, as the triplets of an operator on the
-band (occupations and nearest-neighbour coherences, numbered site by site;
-the other coherences only decay), which in that order has two sub- and two
-superdiagonals.  The band flow is affine, so :func:`evolve_covariance`
-applies its exact exponential, a dense numpy Taylor exponential with scaling
-and squaring that the Fock oracle's trajectories use too.  Its fixed point is
-a banded linear system that :func:`steady_from_dynamics` solves directly with
-LAPACK's band LU, in O(N) time and memory, and so cross-checks the
-stationary rate-equation solver without going through the rate formula.
+The moment equations are written once, in :func:`_moment_band`, as the
+triplets of an operator on the band (occupations and nearest-neighbour
+coherences, numbered site by site; the other coherences only decay), which in
+that order has two sub- and two superdiagonals, and the thermal pump; each
+caller reads them directly, and a solve that scales the pump scales its own
+copy.  The band flow is affine, so :func:`evolve_covariance` applies its exact
+exponential, a dense numpy Taylor exponential with scaling and squaring that
+the Fock oracle's trajectories use too.  Its fixed point is a banded linear
+system that :func:`steady_from_dynamics` solves directly with LAPACK's band
+LU, in O(N) time and memory, and so cross-checks the stationary
+rate-equation solver without going through the rate formula.
 
 Only :func:`steady_from_dynamics` loads scipy (``scipy.linalg``), on its
 first call, so importing this module and propagating the moments cost no
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -178,7 +179,7 @@ def single_excitation_trace(
     return Trajectory(times=tau, occupations=occupations)
 
 
-class _MomentGenerator:
+def _moment_band(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Linearized second-moment equations, written once as a band operator.
 
     Occupations follow ``dn_i = sum_bonds i [t_ij <a_i a_j^dag> - t_ji
@@ -196,60 +197,62 @@ class _MomentGenerator:
 
     The band therefore evolves on its own.  Its unknowns are numbered by
     site: ``n_k`` at ``3k``, ``C[k, k+1]`` at ``3k + 1`` and ``C[k+1, k]`` at
-    ``3k + 2``.  ``rows``, ``cols`` and ``vals`` are the triplets of the
+    ``3k + 2``.  Returns ``rows``, ``cols`` and ``vals``, the triplets of the
     ``(3N - 2)``-square operator ``L`` of those equations, which in this
-    order has two sub- and two superdiagonals, and ``source`` is the thermal
-    pump, so ``band(x) = L x + source`` is ``dC/dtau`` on the band.  Each
-    caller builds the form it needs from the triplets.  ``decay`` holds the
-    rates ``-(kappa_i + kappa_j) / 2`` at which the entries off the band
-    decay.
+    order has two sub- and two superdiagonals, and ``source``, the thermal
+    pump, so ``L x + source`` (:func:`_band_flow`) is ``dC/dtau`` on the
+    band.  Each caller builds the form it needs from the triplets.
     """
-
-    def __init__(self, spec: ChainSpec):
-        n = self.n = spec.n_modes
-        self.hop = build_hopping_matrix(spec)
-        t_fwd, t_bwd = self.hop.fwd, self.hop.bwd
-        self.kappa = spec.kappa_vector()
-        self.n_th = spec.n_th_vector()
-        occ = 3 * np.arange(n)
-        left, right = occ[:-1], occ[1:]
-        up, lo = left + 1, left + 2
-        bond_decay = 0.5 * (self.kappa[:-1] + self.kappa[1:])
-        # (row, column, coefficient) of every term of the equations on the band
-        terms = [
-            (occ, occ, -self.kappa),
-            # bond k's current enters dn_k and leaves dn_{k+1}
-            (left, lo, 1j * t_fwd), (left, up, -1j * t_bwd),
-            (right, lo, -1j * t_fwd), (right, up, 1j * t_bwd),
-            # each bond coherence is driven by its two occupations and decays
-            (up, up, -bond_decay), (up, right, 1j * np.conj(t_bwd)), (up, left, -1j * t_fwd),
-            (lo, lo, -bond_decay), (lo, left, 1j * np.conj(t_fwd)), (lo, right, -1j * t_bwd),
-        ]
-        self.rows, self.cols, self.vals = (np.concatenate(part) for part in zip(*terms))
-        self.source = np.zeros(3 * n - 2, dtype=complex)
-        self.source[occ] = self.kappa * self.n_th
-        # flat positions of n_k, C[k, k+1], C[k+1, k] in a row-major N x N matrix
-        self.band_pos = np.add.outer(np.arange(n) * (n + 1), [0, 1, n]).ravel()[:3 * n - 2]
-
-    @cached_property
-    def decay(self) -> np.ndarray:
-        return -0.5 * (self.kappa[:, None] + self.kappa[None, :])
-
-    def band(self, x: np.ndarray) -> np.ndarray:
-        out = self.source.copy()
-        np.add.at(out, self.rows, self.vals * x[self.cols])
-        return out
+    n = spec.n_modes
+    hop = build_hopping_matrix(spec)
+    t_fwd, t_bwd = hop.fwd, hop.bwd
+    kappa = spec.kappa_vector()
+    occ = 3 * np.arange(n)
+    left, right = occ[:-1], occ[1:]
+    up, lo = left + 1, left + 2
+    bond_decay = 0.5 * (kappa[:-1] + kappa[1:])
+    # (row, column, coefficient) of every term of the equations on the band
+    terms = [
+        (occ, occ, -kappa),
+        # bond k's current enters dn_k and leaves dn_{k+1}
+        (left, lo, 1j * t_fwd), (left, up, -1j * t_bwd),
+        (right, lo, -1j * t_fwd), (right, up, 1j * t_bwd),
+        # each bond coherence is driven by its two occupations and decays
+        (up, up, -bond_decay), (up, right, 1j * np.conj(t_bwd)), (up, left, -1j * t_fwd),
+        (lo, lo, -bond_decay), (lo, left, 1j * np.conj(t_fwd)), (lo, right, -1j * t_bwd),
+    ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    source = np.zeros(3 * n - 2, dtype=complex)
+    source[occ] = kappa * spec.n_th_vector()
+    return rows, cols, vals, source
 
 
-def covariance_rhs(spec: ChainSpec, cov: np.ndarray) -> np.ndarray:
-    """Time derivative of the second-moment matrix ``<a_i^dag a_j>``."""
+def _band_flow(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, source: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """``L x + source``, from the triplets and pump of :func:`_moment_band`."""
+    out = source.copy()
+    np.add.at(out, rows, vals * x[cols])
+    return out
+
+
+def _off_band(spec: ChainSpec, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cov`` as a complex ``N x N`` array (else ``ValueError``), the rates
+    ``-(kappa_i + kappa_j) / 2`` at which its entries off the band decay, and
+    the flat positions of ``n_k``, ``C[k, k+1]``, ``C[k+1, k]`` in it."""
     cov = np.asarray(cov, dtype=complex)
     n = spec.n_modes
     if cov.shape != (n, n):
         raise ValueError(f"covariance must be {n} x {n}, got {cov.shape}")
-    gen = _MomentGenerator(spec)
-    out = gen.decay * cov
-    out.flat[gen.band_pos] = gen.band(cov.flat[gen.band_pos])
+    kappa = spec.kappa_vector()
+    band_pos = np.add.outer(np.arange(n) * (n + 1), [0, 1, n]).ravel()[:3 * n - 2]
+    return cov, -0.5 * (kappa[:, None] + kappa[None, :]), band_pos
+
+
+def covariance_rhs(spec: ChainSpec, cov: np.ndarray) -> np.ndarray:
+    """Time derivative of the second-moment matrix ``<a_i^dag a_j>``."""
+    cov, decay, band_pos = _off_band(spec, cov)
+    out = decay * cov
+    out.flat[band_pos] = _band_flow(*_moment_band(spec), cov.flat[band_pos])
     return out
 
 
@@ -305,7 +308,7 @@ def evolve_covariance(
     """Propagate the linearized moment equations exactly up to ``t_end``.
 
     The band evolves under the affine flow ``dx/dtau = L x + source`` of the
-    generator's band operator ``L``, which the augmented matrix
+    band operator ``L`` of :func:`_moment_band`, which the augmented matrix
     ``S = [[L, source], [0, 0]]`` (``3N - 1`` rows) acting on ``[x0; 1]``
     makes linear.  Each reported step applies a dense ``exp(tau S)`` from
     :func:`_expm_taylor`: a few tens of ``rows**3`` products, growing with
@@ -339,21 +342,18 @@ def evolve_covariance(
     times = Trajectory.check_times(np.unique([0.0, t_end]) if t_eval is None else t_eval)
     if not (times.size and times[-1] <= t_end):
         raise ValueError(f"t_eval must be nonempty and end at or before t_end = {t_end}")
-    n = spec.n_modes
-    cov0 = np.asarray(cov0, dtype=complex)
-    if cov0.shape != (n, n):
-        raise ValueError(f"covariance must be {n} x {n}, got {cov0.shape}")
-    gen = _MomentGenerator(spec)
+    cov0, decay, band_pos = _off_band(spec, cov0)
+    rows, cols, vals, source = _moment_band(spec)
     steps = np.diff(times, prepend=0.0)
-    augmented = np.zeros((3 * n - 1, 3 * n - 1), dtype=complex)
-    augmented[gen.rows, gen.cols] = gen.vals
-    augmented[:-1, -1] = gen.source
-    x = np.append(cov0.flat[gen.band_pos], 1.0)
-    covs = cov0 * np.exp(gen.decay * times[:, None, None])
+    augmented = np.zeros((len(source) + 1,) * 2, dtype=complex)
+    augmented[rows, cols] = vals
+    augmented[:-1, -1] = source
+    x = np.append(cov0.flat[band_pos], 1.0)
+    covs = cov0 * np.exp(decay * times[:, None, None])
     for k, step in enumerate(steps.tolist()):  # Python floats overflow quietly
         x = _expm_taylor(augmented, step) @ x
         x /= x[-1]  # the last entry is the exponential's power of two, so this is exact
-        covs[k].flat[gen.band_pos] = x[:-1]
+        covs[k].flat[band_pos] = x[:-1]
     occupations = np.real(np.diagonal(covs, axis1=1, axis2=2))
     return Trajectory(times=times, occupations=occupations, covariances=covs)
 
@@ -364,11 +364,13 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     Under the bond-local closure the coherences between non-bonded modes only
     decay, so the fixed point lives on the band: the ``N`` occupations and the
     ``2 (N - 1)`` bond coherences ``C[k, k+1]`` and ``C[k+1, k]``.  Numbered
-    by site, the generator's operator has two sub- and two superdiagonals,
-    so its triplets fill LAPACK's band storage, factored once by the band LU
-    with partial pivoting of ``zgbsv``; one step of iterative refinement
-    reuses the factors (``zgbtrs``).  ``residual`` is the max-norm of
-    ``dC/dtau`` at the returned state, evaluated on the band.
+    by site, the operator of :func:`_moment_band` has two sub- and two
+    superdiagonals, so its triplets fill LAPACK's band storage, factored once
+    by the band LU with partial pivoting of ``zgbsv``; one step of iterative
+    refinement reuses the factors (``zgbtrs``), and both it and ``residual``,
+    the max-norm of ``dC/dtau`` at the returned state on the band, read a
+    copy of the pump scaled by a power of two.  The chain's kappas and bonds
+    are checked before the band is built.
 
     Eliminating a bond's coherences gives the rate
     ``2 (|t_fwd|**2 + t_fwd t_bwd) / (kappa_i + kappa_j)``, and its mirror,
@@ -396,34 +398,35 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     """
     from scipy.linalg.lapack import zgbsv, zgbtrs
 
-    gen = _MomentGenerator(spec)
-    if not np.all(gen.kappa > 0):
+    kappa = spec.kappa_vector()
+    if not np.all(kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")
-    product, real, numerators = gen.hop.bond_domain()
+    product, real, numerators, _ = build_hopping_matrix(spec).bond_domain()
     bad = np.flatnonzero(~real | (numerators < 0).any(axis=0))
     if bad.size:
         raise _outside_rates(bad[0], product, real)
+    rows, cols, vals, source = _moment_band(spec)
     # Solve for a pump of order one and scale back, as solve_steady_rates does:
-    # band(x) multiplies amplitudes by occupations, which overflows on a strong
+    # the flow multiplies amplitudes by occupations, which overflows on a strong
     # pump long before the occupations do.  Powers of two scale every operation
     # exactly, so in the normal range the result is bitwise that of the
     # unscaled solve.
-    _, exponent = math.frexp(float(gen.source.real.max()))
-    gen.source = np.ldexp(gen.source.real, -exponent).astype(complex)
+    _, exponent = math.frexp(float(source.real.max()))
+    source = np.ldexp(source.real, -exponent).astype(complex)
     # L[i, j] sits at bands[4 + i - j, j]; the top two rows hold the LU's fill-in
-    bands = np.zeros((7, 3 * gen.n - 2), dtype=complex)
-    bands[4 + gen.rows - gen.cols, gen.cols] = gen.vals
-    if not (np.isfinite(bands).all() and np.isfinite(gen.source).all()):
+    bands = np.zeros((7, len(source)), dtype=complex)
+    bands[4 + rows - cols, cols] = vals
+    if not (np.isfinite(bands).all() and np.isfinite(source).all()):
         raise ValueError("the stationary moment system has an entry that is not finite")
-    lu, piv, x, info = zgbsv(2, 2, bands, -gen.source, overwrite_ab=True)
+    lu, piv, x, info = zgbsv(2, 2, bands, -source, overwrite_ab=True)
     if info > 0:
         raise SingularSystem(f"the stationary moment system is singular: pivot {info} is zero")
     # One refinement step makes the LU solve componentwise backward stable,
     # which keeps the smallest occupations accurate to a few ulps.
-    flow = gen.band(x)
+    flow = _band_flow(rows, cols, vals, source, x)
     if not np.isfinite(flow).all():
         raise ValueError("the stationary moment residual is not finite")
     x -= zgbtrs(lu, 2, 2, flow, piv)[0]
-    residual = math.ldexp(float(np.abs(gen.band(x)).max()), exponent)
-    _check_residual(residual, gen.kappa, gen.n_th, tol, "moment")
+    residual = math.ldexp(float(np.abs(_band_flow(rows, cols, vals, source, x)).max()), exponent)
+    _check_residual(residual, kappa, spec.n_th_vector(), tol, "moment")
     return SteadyState(occupations=np.ldexp(np.real(x[::3]), exponent), residual=residual)

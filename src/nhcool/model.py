@@ -120,29 +120,56 @@ class HoppingMatrix:
         """Dense ``n_modes x n_modes`` matrix ``h``, built on each access."""
         return np.diag(self.fwd, -1) + np.diag(self.bwd, 1)
 
-    def bond_domain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def bond_domain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The bond products, which of them are real, and the two rate numerators.
 
         This is the one place where ``p = t_fwd t_bwd`` is formed, and the one
         rule for which bonds each layer accepts.  Returns ``p`` per bond, the
         mask of bonds whose ``p`` is real (``|Im p| <= 8 eps |p|``), and the
         ``(2, N - 1)`` numerators ``|t_fwd|**2 + Re p`` and
-        ``|t_bwd|**2 + Re p`` of the forward and backward rates.  The rates
-        see only ``Re p``: a product that is not real makes the moment fixed
-        point complex and can give the chain gain, and a negative numerator
-        makes a rate negative, so :func:`build_rate_matrix` and
+        ``|t_bwd|**2 + Re p`` of the forward and backward rates as
+        ``numerators * 2**exponents``.  The rates see only ``Re p``: a
+        product that is not real makes the moment fixed point complex and can
+        give the chain gain, and a negative numerator makes a rate negative,
+        so :func:`build_rate_matrix` and
         :func:`~nhcool.dynamics.steady_from_dynamics` accept a bond only
         where ``p`` is real and neither numerator is negative (else
         ``InvalidRegime``), and :func:`~nhcool.spectral.diagonalize` only
-        where ``p`` is real and positive.  Entries that overflow come back
-        infinite or NaN, and each layer checks finiteness first.
+        where ``p`` is real and positive.
+
+        The exponents are 0, and the numerators the plain doubles, except on a
+        nonzero bond whose squares, product or numerators leave the normal
+        range: there the mask and the numerators are evaluated on the binary
+        fractions of its amplitudes, so that a chain in a tiny or a huge unit
+        is judged as in any other.  Only there, because ``float_power`` of a
+        fraction scaled back is not always ``float_power`` of the amplitude.
+        An amplitude that is not finite leaves NaN entries, and each layer
+        checks finiteness first.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
+        amps, eps, tiny = np.abs([self.fwd, self.bwd]), np.finfo(float).eps, np.finfo(float).tiny
+        exponents = np.zeros(amps.shape, dtype=int)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             product = self.fwd * self.bwd
-            real = ~(np.abs(product.imag) > 8 * np.finfo(float).eps * np.abs(product))
+            real = ~(np.abs(product.imag) > 8 * eps * np.abs(product))
             # libm pow rounds as Python's float ``**``; numpy's ``** 2`` (x * x) can differ by 1 ulp
-            numerators = np.float_power(np.abs([self.fwd, self.bwd]), 2) + product.real
-        return product, real, numerators
+            squares = np.float_power(amps, 2)
+            numerators = squares + product.real
+            # nonzero bonds whose squares or numerators left the normal range; an
+            # infinite square leaves its numerator so, and the product leaves it only with a square
+            odd = (((squares < tiny) & (amps > 0)) | ~np.isfinite(numerators)).any(axis=0)
+            if odd.any():
+                (f, e_f), (b, e_b) = _binary_split(self.fwd[odd]), _binary_split(self.bwd[odd])
+                # a zero amplitude takes the other's exponent, so the other's square keeps its scale
+                e_f, e_b = np.where(f == 0, e_b, e_f), np.where(b == 0, e_f, e_b)
+                top = np.maximum(e_f, e_b)
+                frac = f * b
+                real[odd] = ~(np.abs(frac.imag) > 8 * eps * np.abs(frac))
+                sq_f, sq_b = np.float_power(np.abs([f, b]), 2)
+                # |t_fwd|**2 = sq_f 2**(2 e_f) and Re p = Re frac 2**(e_f + e_b), over 2**(e_f + top)
+                numerators[:, odd] = (np.ldexp(sq_f, e_f - top) + np.ldexp(frac.real, e_b - top),
+                                      np.ldexp(sq_b, e_b - top) + np.ldexp(frac.real, e_f - top))
+                exponents[:, odd] = e_f + top, e_b + top
+        return product, real, numerators, exponents
 
     def rate_bands(self, kappa: np.ndarray) -> tuple[RateMatrix, np.ndarray]:
         """The transition rates of the bands, and the bonds outside their formula.
@@ -150,20 +177,33 @@ class HoppingMatrix:
         Bond ``k`` joins modes ``k`` and ``k + 1`` with the rates
         ``2 n / (kappa_k + kappa_{k+1})``, ``n`` the two numerators of
         :meth:`bond_domain`; a bond with both amplitudes zero has zero rates
-        whatever its kappas.  The bands and ``kappa`` may carry leading axes,
-        one chain per index, which broadcast.  Nothing is raised:
-        ``outside[..., k]`` marks a nonzero bond between two modes without
-        dissipation, a rate that is not finite, a product that is not real
-        and a negative numerator, and the rates of such a bond mean nothing.
-        :func:`build_rate_matrix` raises for the first one of a chain.
+        whatever its kappas.  Each rate is divided on the binary fractions of
+        ``n`` and of the kappa sum and scaled back, which rounds as the plain
+        quotient wherever that is a normal double, so only a rate that itself
+        leaves the double range is lost.  The bands and ``kappa`` may carry
+        leading axes, one chain per index, which broadcast.  Nothing is
+        raised: ``outside[..., k]`` marks a nonzero bond between two modes
+        without dissipation, a rate that is not finite, a product that is
+        not real and a negative numerator, and the rates of such a bond mean
+        nothing.  :func:`build_rate_matrix` raises for the first one of a
+        chain.
         """
-        product, real, numerators = self.bond_domain()
+        _, real, numerators, exponents = self.bond_domain()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ksum = np.where((self.fwd != 0) | (self.bwd != 0), kappa[..., :-1] + kappa[..., 1:], 1.0)
-            fwd, bwd = 2.0 * numerators[0] / ksum, 2.0 * numerators[1] / ksum
+            (n, e_n), (k, e_k) = np.frexp(numerators), np.frexp(ksum)
+            fwd, bwd = np.ldexp(2.0 * n / k, e_n + exponents - e_k)
         outside = ((ksum == 0.0) | ~(np.isfinite(fwd) & np.isfinite(bwd)) | ~real
                    | (numerators < 0).any(axis=0))
         return RateMatrix(fwd=fwd, bwd=bwd), outside
+
+
+def _binary_split(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``band = frac * 2**e`` exactly, with ``max(|Re frac|, |Im frac|)`` in [1/2, 1)."""
+    e = np.frexp(np.maximum(np.abs(band.real), np.abs(band.imag)))[1]
+    frac = np.empty(np.shape(band), complex)
+    frac.real, frac.imag = np.ldexp(band.real, -e), np.ldexp(band.imag, -e)
+    return frac, e
 
 
 @dataclass(frozen=True)
@@ -264,7 +304,7 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
                 f"bond {k} produces a transition rate that is not finite; "
                 f"2 (|t|^2 + Re(t_fwd t_bwd)) / (kappa_{k} + kappa_{k + 1}) overflows"
             )
-        product, real, _ = hop.bond_domain()
+        product, real, *_ = hop.bond_domain()
         raise _outside_rates(k, product, real)
     return rates
 

@@ -391,8 +391,9 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     over the diagonal pairs) after each step, give its eigenvector to
     rounding; one rounding step past ``lambda_1``, the shift misses an
     exact ``lambda_1`` (0 at ``n_th = 0``) yet stays far inside the checked
-    gap.  ``L0`` maps the
-    number-diagonal block into itself, so the residual
+    gap: ``lambda_1`` must be real, and above the next real part, to
+    ``sqrt(eps) max|lambda|``, a floor relative to the chain's own unit.
+    ``L0`` maps the number-diagonal block into itself, so the residual
     ``drho/dtau = L0 rho - Tr(L0 rho) rho`` is evaluated with the whole of
     ``R``, on the ``rho`` that the coordinates describe.  It scales with
     the bath, so it passes the gate of
@@ -438,7 +439,7 @@ def oracle_steady(spec: ChainSpec, cutoff: int, tol: float = 1e-7) -> np.ndarray
     lead = evals[order[0]]
     gap = lead.real - evals[order[1]].real  # cutoff >= 2: at least two rows
     scale = float(np.abs(evals).max())
-    floor = np.sqrt(np.finfo(float).eps) * max(1.0, scale)
+    floor = np.sqrt(np.finfo(float).eps) * scale
     if abs(lead.imag) > floor or gap <= floor:
         raise SingularSystem(
             f"leading Liouvillian eigenvalue {lead:.3e} is not real and simple "

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotGaugeReducible, SingularBond
-from .model import HoppingMatrix
+from .model import HoppingMatrix, _binary_split
 
 __all__ = [
     "SpectralDecomposition",
@@ -105,14 +105,6 @@ class SpectralDecomposition:
         return _read_only(self.gauge_phase[:, None] * psi)
 
 
-def _binary_split(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # band = frac * 2**e exactly, with max(|Re frac|, |Im frac|) in [1/2, 1)
-    e = np.frexp(np.maximum(np.abs(band.real), np.abs(band.imag)))[1]
-    frac = np.empty(np.shape(band), complex)
-    frac.real, frac.imag = np.ldexp(band.real, -e), np.ldexp(band.imag, -e)
-    return frac, e
-
-
 def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     """Diagonalize a hopping matrix through its Hermitian gauge.
 
@@ -159,7 +151,7 @@ def diagonalize(hopping: HoppingMatrix) -> SpectralDecomposition:
     # Each product comes from the amplitudes' binary fractions, where it
     # cannot over- or underflow, and 2**(2 s) brings the largest into [1, 4).
     (f, e_fwd), (b, e_bwd) = (_binary_split(band) for band in (hopping.fwd, hopping.bwd))
-    frac, real, _ = HoppingMatrix(f, b).bond_domain()
+    frac, real, *_ = HoppingMatrix(f, b).bond_domain()
     live = np.isfinite(frac) & (frac != 0)
     e = e_fwd + e_bwd + np.frexp(np.abs(frac))[1]
     s = (2 - int(e[live].max())) // 2 if live.any() else 0

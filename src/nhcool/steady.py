@@ -275,21 +275,38 @@ def closed_form_two_mode(coupling: float, asymmetry: float, kappa_1: float, kapp
                        coupling.shape + (2, 1)).astype(complex)
     g, outside = HoppingMatrix(bands[..., 0, :], bands[..., 1, :]).rate_bands(
         np.stack((kappa_1, kappa_2), axis=-1))
-    g12, g21 = g.fwd[..., 0], g.bwd[..., 0]
+    rates = g.fwd[..., 0], g.bwd[..., 0], kappa_1, kappa_2
     with np.errstate(all="ignore"):  # a failing point's error is raised below
-        det = g12 * kappa_2 + kappa_1 * g21 + kappa_1 * kappa_2
-        inflow = np.array((kappa_1 * g21 + kappa_1 * kappa_2 + g21 * kappa_2,
-                           kappa_2 * g12 + kappa_1 * kappa_2 + g12 * kappa_1))
-        occ = n_th * inflow / det
-        # Where n_th times an inflow overflows before the division, n_th is
-        # scaled into [1/2, 1) and back, as _solve scales its injection.
+        inflow, det = _two_mode_balance(*rates, n_th)
+        # Where a product under- or overflows on the way, det or n_th times an
+        # inflow leaves the normal range.  There the kappas and rates are
+        # scaled by the power of two that brings the largest term of det near
+        # 1, and n_th into [1/2, 1) by its own, as _solve scales its injection;
+        # powers of two round nothing.
+        e12, e21, e1, e2 = (np.frexp(v)[1] for v in rates)
+        # a zero rate's term is zero; counting it as kappa_1 kappa_2 changes no maximum
+        e12, e21 = np.where(rates[0] > 0, e12, e1), np.where(rates[1] > 0, e21, e2)
+        unit = np.maximum.reduce([e12 + e2, e1 + e21, e1 + e2]) // 2
         mantissa, exponent = np.frexp(n_th)
-        occ = np.where(np.isfinite(occ), occ, np.ldexp(mantissa * inflow / det, exponent))
+        inflow_s, det_s = _two_mode_balance(*(np.ldexp(v, -unit) for v in rates), mantissa)
+        tiny = np.finfo(float).tiny
+        normal = ((tiny <= det) & (det < np.inf)
+                  & (((tiny <= inflow) & (inflow < np.inf)).all(axis=0) | (n_th == 0)))
+        occ = np.where(normal, inflow / det, np.ldexp(inflow_s / det_s, exponent))
     # a kappa or n_th that is not finite leaves an occupation that is not finite
     valid = (0 < kappa_1) & (0 < kappa_2) & (0 <= n_th) & ~outside[..., 0]
     _raise_first(~(valid & np.isfinite(occ).all(axis=0)),
                  lambda i: _two_mode_error(*(v[i] for v in point)))
     return tuple(occ)
+
+
+def _two_mode_balance(g12, g21, kappa_1, kappa_2, n_th) -> tuple[np.ndarray, np.ndarray]:
+    """``n_th`` times the inflows of the 2 x 2 balance system, stacked on a
+    first axis, and its determinant: ``n_1``, ``n_2`` are their quotients."""
+    det = g12 * kappa_2 + kappa_1 * g21 + kappa_1 * kappa_2
+    inflow = np.array((kappa_1 * g21 + kappa_1 * kappa_2 + g21 * kappa_2,
+                       kappa_2 * g12 + kappa_1 * kappa_2 + g12 * kappa_1))
+    return n_th * inflow, det
 
 
 def _two_mode_error(coupling: float, asymmetry: float, kappa_1: float, kappa_2: float,
@@ -316,9 +333,12 @@ def plateau_limit(coupling: float, asymmetry: float, kappa: float, n_th: float) 
 
     Returns ``kappa**2 * n_th / (kappa**2 + t_fwd**2 - t_bwd**2)`` with
     ``t_fwd = t exp(A)`` and ``t_bwd = t exp(-A)``; only meaningful for
-    positive asymmetry, where the denominator is positive.  Raises
-    ``ValueError`` where ``t`` or ``kappa`` is not positive, ``n_th`` is not
-    finite and >= 0 or ``t**2 exp(2 A)`` is not finite, as the chain would.
+    positive asymmetry, where the denominator is positive.  Where
+    ``kappa**2``, ``t**2`` or ``kappa**2 n_th`` leaves the normal range the
+    floor is read as ``n_th / (1 + (t / kappa)**2 (exp(2 A) - exp(-2 A)))``,
+    which sees only the ratio of ``t`` to ``kappa``.  Raises ``ValueError``
+    where ``t`` or ``kappa`` is not positive, ``n_th`` is not finite and
+    >= 0 or ``t**2 exp(2 A)`` is not finite.
     """
     if asymmetry <= 0:
         raise InvalidRegime(
@@ -329,14 +349,22 @@ def plateau_limit(coupling: float, asymmetry: float, kappa: float, n_th: float) 
     ModeParams(kappa, n_th)  # kappa and n_th finite and >= 0
     k2 = kappa * kappa
     try:
-        gap = coupling * coupling * (math.exp(2 * asymmetry) - math.exp(-2 * asymmetry))
+        spread = math.exp(2 * asymmetry) - math.exp(-2 * asymmetry)
     except OverflowError:  # math.exp raises where numpy would return inf
-        gap = math.inf
+        spread = math.inf
+    t2 = coupling * coupling
+    gap = t2 * spread
     if not math.isfinite(gap):
         raise ValueError(f"t**2 exp(2 A) is not finite at t = {coupling}, A = {asymmetry}")
-    plateau = k2 * n_th / (k2 + gap)
-    # kappa**2, or kappa**2 n_th, can overflow; the floor itself is at most n_th
-    return plateau if math.isfinite(plateau) else n_th / (1 + gap / kappa / kappa)
+    numerator, denominator = k2 * n_th, k2 + gap
+    tiny = np.finfo(float).tiny
+    if (tiny <= min(k2, t2) and denominator < math.inf
+            and (tiny <= numerator < math.inf or not n_th)):
+        return numerator / denominator
+    # kappa**2, t**2 or kappa**2 n_th left the normal range; the floor is at
+    # most n_th, and where t**2 did it is read from (t / kappa)**2 alone
+    ratio = coupling / kappa
+    return n_th / (1 + (gap / kappa / kappa if t2 >= tiny else ratio * (ratio * spread)))
 
 
 def solve_with_attached(spec: ChainSpec, mode: ModeParams, coupling: float) -> SteadyState:

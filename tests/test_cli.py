@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,53 @@ class TestNonFiniteInputs:
         assert main(["scaling", "--kappas", "1e200", "--n-max", "3", "--output", str(out)]) == 0
         header, rows = read_csv(out)
         assert rows[:, header.index("plateau")].tolist() == [1.0, 1.0]
+
+
+def _exact_two_mode(t, a, kappa, n_th):
+    """The canonical two-mode occupations on exact rationals of the amplitudes."""
+    f, b = Fraction(t * math.exp(a)), Fraction(t * math.exp(-a))
+    k, n = Fraction(kappa), Fraction(n_th)
+    g12, g21 = (f * f + f * b) / k, (b * b + f * b) / k
+    return [float(n * (2 * g21 + k) / (g12 + g21 + k)), float(n * (2 * g12 + k) / (g12 + g21 + k))]
+
+
+class TestChainUnit:
+    """A chain carries no energy unit: scaling t and kappa changes no answer."""
+
+    @pytest.mark.parametrize("argv,unit", [
+        (["chain-profile", "--sizes", "3"], "1e-160"),  # n_1 was 4.8e-6 off
+        (["steady", "--n-modes", "2"], "1e-200"),  # every site read n_th = 1
+    ])
+    def test_rate_layer_answers_as_at_unit_one(self, tmp_path, argv, unit):
+        def column(t, kappa):
+            out = tmp_path / f"{t}.csv"
+            assert main([*argv, "--t", t, "--kappa", kappa, "--output", str(out)]) == 0
+            header, rows = read_csv(out)
+            return rows[:, header.index("n_i" if "n_i" in header else "n")]
+
+        assert column(unit, unit) == pytest.approx(column("1", "1"), rel=1e-14, abs=0.0)
+
+    def test_scaling_plateau_at_tiny_unit(self, tmp_path):
+        # kappa**2 and t**2 (e^2A - e^-2A) both underflowed: ZeroDivisionError, exit 1
+        out = tmp_path / "x.csv"
+        assert main(["scaling", "--t", "1e-200", "--kappas", "1e-200", "--n-max", "3",
+                     "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        spread = Fraction(math.exp(2 * LN2)) - Fraction(math.exp(-2 * LN2))
+        want = float(1 / (1 + spread))  # 0.2105..., as at t = kappa = 1
+        assert rows[:, header.index("plateau")] == pytest.approx([want, want], rel=1e-14)
+
+    @pytest.mark.parametrize("t,kappa,ea", [
+        ("1", "1e200", "1"),  # kappa**2 overflowed: exit 2, "an occupation overflows"
+        ("1e-200", "1e-200", "2"),  # every product underflowed: exit 2 the same way
+    ])
+    def test_sweep_a_at_the_ends_of_the_unit_range(self, tmp_path, t, kappa, ea):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-A", "--t", t, "--kappa", kappa, "--ea-min", ea, "--ea-max", ea,
+                     "--ea-count", "1", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        want = _exact_two_mode(float(t), math.log(float(ea)), float(kappa), 1.0)
+        assert rows[0, 1:] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # --- grid commands: one stacked solve, the CSV of point-by-point calls ---------

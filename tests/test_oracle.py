@@ -540,6 +540,17 @@ class TestEvolveMasterEquation:
 
 
 class TestOracleSteady:
+    @pytest.mark.parametrize("unit", [1e-7, 2.0**-30, 2.0**-100])
+    def test_small_unit_keeps_the_answer(self, unit):
+        # the gap floor sqrt(eps) max(1, max|lambda|) was absolute below unit 1:
+        # "leading Liouvillian eigenvalue ... is not real and simple" from 1e-7 down
+        def occupations(s):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                return oracle_steady(make_uniform_chain(2, s, LN2, 0.05 * s, 0.1), 4)
+
+        assert occupations(unit) == pytest.approx(occupations(1.0), rel=1e-14, abs=0.0)
+
     def test_decoupled_modes_thermalize(self):
         spec = ChainSpec(
             modes=(ModeParams(0.2, 0.1), ModeParams(0.2, 0.1)),

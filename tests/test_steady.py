@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nhcool import (
     Bond,
@@ -122,6 +122,21 @@ class TestClosedFormTwoMode:
         # n_th times a rate sum overflowed before the division: (inf, inf)
         assert closed_form_two_mode(1.0, 0.0, 0.01, 0.01, 1e308) == (1e308, 1e308)
 
+    @pytest.mark.parametrize("point", [
+        (2.033e-89, -0.0208, 1.262e-151, 1.754e-257, 1.203e-228),  # read (0.0, 0.0)
+        (1.0, 0.0, 1e200, 1e200, 1.0),  # kappa_1 kappa_2 overflowed to a NaN
+        (1e-200, LN2, 1e-200, 1e-200, 1.0),  # every product underflowed to 0 / 0
+    ])
+    def test_ends_of_the_range_against_rational_oracle(self, point):
+        t, a, kappa_1, kappa_2, n_th = point
+        f, b = Fraction(t * math.exp(a)), Fraction(t * math.exp(-a))
+        k1, k2, n = Fraction(kappa_1), Fraction(kappa_2), Fraction(n_th)
+        g12, g21 = 2 * (f * f + f * b) / (k1 + k2), 2 * (b * b + f * b) / (k1 + k2)
+        det = g12 * k2 + k1 * g21 + k1 * k2
+        want = (float(n * (k1 * g21 + k1 * k2 + g21 * k2) / det),
+                float(n * (k2 * g12 + k1 * k2 + g12 * k1) / det))
+        assert closed_form_two_mode(*point) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_overflowing_occupation_is_rejected(self):
         # n_2 = 1.995e308 at A = 3; n_1 stays finite
         with pytest.raises(ValueError, match="^an occupation overflows the double range$"):
@@ -132,6 +147,15 @@ class TestSolveSteadyChain:
     def test_rejects_overflowing_rate(self):
         with pytest.raises(ValueError, match="^bond 0 produces a transition rate that is not finite"):
             solve_steady_chain(make_uniform_chain(3, 1.0, 400.0, 0.01, 1.0))
+
+    @pytest.mark.parametrize("unit", [1e-300, 1e-200, 1e-160, 2.0**-600, 1e154, 1e300])
+    def test_unit_of_the_chain_is_free(self, unit):
+        # |t|**2 and t_fwd t_bwd were formed in linear space: at 1e-160 n_1 was
+        # 4.8e-6 off, at 1e-200 every site read n_th, at 1e154 a finite rate
+        # was "not finite"
+        want = solve_steady_chain(make_uniform_chain(3, 1.0, LN2, 1.0, 1.0)).occupations
+        got = solve_steady_chain(make_uniform_chain(3, unit, LN2, unit, 1.0)).occupations
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_matches_closed_form_at_two_modes(self):
         ss = solve_steady_chain(make_uniform_chain(2, 1.0, LN2, 0.01, 1.0))
@@ -377,6 +401,18 @@ class TestPlateau:
         assert plateau_limit(1.0, LN2, 10.0, 1e308) == pytest.approx(
             1e308 / (1.0 + 3.75 / 100.0), rel=1e-15)
 
+    @pytest.mark.parametrize("point", [
+        (1e-200, LN2, 1e-200, 1.0),  # kappa**2 + t**2 (...) underflowed: ZeroDivisionError
+        (1.16e-160, 1.28, 2.16e-162, 4.76),  # a subnormal kappa**2: 10% off
+        (8.67e-156, 4.24, 8.31e-161, 3.47),  # a subnormal t**2
+    ])
+    def test_ends_of_the_range_against_rational_oracle(self, point):
+        t, a, kappa, n_th = point
+        spread = Fraction(math.exp(2 * a)) - Fraction(math.exp(-2 * a))
+        k2 = Fraction(kappa) ** 2
+        want = float(Fraction(n_th) * k2 / (k2 + Fraction(t) ** 2 * spread))
+        assert plateau_limit(*point) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_largest_finite_gap_keeps_the_formula(self):
         k2, gap = 0.01 * 0.01, math.exp(708.0) - math.exp(-708.0)
         assert plateau_limit(1.0, 354.0, 0.01, 1.0) == k2 / (k2 + gap)
@@ -558,7 +594,36 @@ def random_long_chains(draw, hermitian=False, uniform_kappa=False, uniform_n_th=
     )
 
 
+@st.composite
+def chains_in_a_unit(draw):
+    """A chain of 1 to 12 modes (t in [0.1, 3], A in [-3, 3], kappa in
+    [1e-6, 1], n_th in [0, 2]) and ``j`` in [-1000, 1000] such that its
+    largest rate times ``2**j`` is finite."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, a = rng.uniform(0.1, 3.0, n - 1), rng.uniform(-3.0, 3.0, n - 1)
+    spec = ChainSpec(
+        modes=tuple(map(ModeParams, 10.0 ** rng.uniform(-6.0, 0.0, n), rng.uniform(0.0, 2.0, n))),
+        bonds=tuple(Bond(ti * math.exp(ai), ti * math.exp(-ai)) for ti, ai in zip(t, a)))
+    j = draw(st.integers(-1000, 1000))
+    rates = build_rate_matrix(spec)
+    largest = max(rates.fwd.max(initial=0.0), rates.bwd.max(initial=0.0))
+    assume(math.frexp(largest)[1] + j <= 1024)  # largest * 2**j stays finite
+    return spec, j
+
+
 class TestRandomChainProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(chains_in_a_unit())
+    def test_occupations_do_not_depend_on_the_unit(self, spec_and_unit):
+        # a chain carries no energy unit: 2**j on every amplitude and kappa
+        spec, j = spec_and_unit
+        scaled = ChainSpec(
+            modes=tuple(ModeParams(math.ldexp(m.kappa, j), m.n_th) for m in spec.modes),
+            bonds=tuple(Bond(math.ldexp(b.t_fwd, j), math.ldexp(b.t_bwd, j)) for b in spec.bonds))
+        want = solve_steady_chain(spec).occupations
+        assert solve_steady_chain(scaled).occupations == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @settings(max_examples=120, deadline=None)
     @given(random_long_chains(uniform_kappa=True, uniform_n_th=True))
     def test_sum_rule_for_uniform_bath(self, spec):

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COUNTER = ROOT / "tools" / "count_code_lines.py"
 CLI_BYTES = ROOT / "tools" / "cli_bytes.py"
+LIB_BITS = ROOT / "tools" / "lib_bits.py"
 
 SOURCE = '''"""Module docstring,
 on two lines."""
@@ -45,3 +47,12 @@ def test_cli_bytes_finds_a_checkout_identical_to_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 7 and all(line.endswith(" identical") for line in lines), proc.stdout
+
+
+def test_lib_bits_finds_a_checkout_identical_to_itself():
+    proc = subprocess.run([sys.executable, str(LIB_BITS), str(ROOT), str(ROOT), "--count", "10"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 10, proc.stdout
+    assert all(re.fullmatch(r"\S+ +identical +10  different +0", line) for line in lines), proc.stdout

@@ -256,47 +256,58 @@ def covariance_rhs(spec: ChainSpec, cov: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm_taylor(mat: np.ndarray, tau: float) -> np.ndarray:
-    """``exp(tau mat)`` up to an exact power of two, by scaling and squaring
-    with Taylor terms at 1-norm <= 1 (Moler and Van Loan).
+def _expm_taylor(blocks: list[np.ndarray], tau: float) -> list[np.ndarray]:
+    """``exp(tau B)`` of each square block ``B``, all up to one exact power of
+    two, by scaling and squaring with Taylor terms at 1-norm <= 1 (Moler and
+    Van Loan): the exponential of their block-diagonal sum, one block at a
+    time.
 
-    ``j = ceil(log2 ||tau mat||_1)`` squarings bring ``tau mat / 2**j`` to
-    1-norm ``theta <= 1``; its terms of degree ``m`` are bounded by
-    ``theta**m / m!`` and kept while that bound is above ``2**-54``.  Before
-    each squaring the sum is multiplied by the power of two that brings its
-    largest entry into ``[1/2, 1)``, so a growing flow cannot overflow; the
-    product of those powers is the factor the caller must remove, and
-    scaling by a power of two rounds nothing.  Once the power, divided by
-    its largest entry, differs from the one before by at most ``64 eps``,
-    the flow has reached its limit and further squarings would only add
+    ``j = ceil(log2 ||tau B||_1)`` squarings, ``||B||_1`` the largest 1-norm
+    of a block, bring every ``tau B / 2**j`` to 1-norm ``theta <= 1``; the
+    terms of degree ``m`` are bounded by ``theta**m / m!`` and kept while
+    that bound is above ``2**-54``.  Before each squaring every sum is
+    multiplied by the power of two that brings the largest entry of any
+    block into ``[1/2, 1)``, so a growing flow cannot overflow; the product
+    of those powers is the factor the caller must remove, one and the same
+    for every block, so the blocks keep their relative scale, and scaling
+    by a power of two rounds nothing.  Once the blocks, divided by that
+    largest entry, differ from the ones before by at most ``64 eps``, the
+    flow has reached its limit and further squarings would only add
     rounding, so they are skipped: a huge ``tau`` costs about as many
     squarings as the transient takes to die.  A 1-norm that is not finite
     raises ``ValueError``.
     """
-    out = np.eye(len(mat), dtype=mat.dtype)
+    outs = [np.eye(len(block), dtype=block.dtype) for block in blocks]
     with np.errstate(over="ignore"):
-        norm = float(np.abs(mat).sum(axis=0).max(initial=0.0))
+        norm = max(float(np.abs(block).sum(axis=0).max(initial=0.0)) for block in blocks)
     if not math.isfinite(norm):
         raise ValueError(f"the operator's 1-norm is {norm}; its entries overflow the double range")
-    if not norm * tau > 0:  # exp(tau mat) = I to double precision
-        return out
+    if not norm * tau > 0:  # exp(tau B) = I to double precision
+        return outs
     squarings = max(0, math.ceil(math.log2(norm) + math.log2(tau)))  # no overflow at huge tau
-    scaled = mat * math.ldexp(tau, -squarings)
-    term = out
-    for m in range(1, _taylor_terms(math.log(norm * math.ldexp(tau, -squarings)))):
-        term = term @ scaled
-        term /= m
-        out += term
+    step = math.ldexp(tau, -squarings)
+    n_terms = _taylor_terms(math.log(norm * step))
+    for out, block in zip(outs, blocks):
+        scaled = block * step
+        term = out
+        for m in range(1, n_terms):
+            term = term @ scaled
+            term /= m
+            out += term
     previous = None
     for _ in range(squarings):
-        top = float(np.abs(out).max())
-        direction = out / top
-        if previous is not None and np.abs(direction - previous).max() <= _CONVERGED:
+        top = max(float(np.abs(out).max()) for out in outs)
+        directions = [out / top for out in outs]
+        if previous is not None and max(
+            float(np.abs(now - before).max()) for now, before in zip(directions, previous)
+        ) <= _CONVERGED:
             break
-        previous = direction
-        out *= math.ldexp(1.0, -math.frexp(top)[1])
-        out = out @ out
-    return out
+        previous = directions
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        for out in outs:
+            out *= scale
+        outs = [out @ out for out in outs]
+    return outs
 
 
 def evolve_covariance(
@@ -351,7 +362,7 @@ def evolve_covariance(
     x = np.append(cov0.flat[band_pos], 1.0)
     covs = cov0 * np.exp(decay * times[:, None, None])
     for k, step in enumerate(steps.tolist()):  # Python floats overflow quietly
-        x = _expm_taylor(augmented, step) @ x
+        x = _expm_taylor([augmented], step)[0] @ x
         x /= x[-1]  # the last entry is the exponential's power of two, so this is exact
         covs[k].flat[band_pos] = x[:-1]
     occupations = np.real(np.diagonal(covs, axis1=1, axis2=2))
@@ -401,10 +412,11 @@ def steady_from_dynamics(spec: ChainSpec, tol: float = 1e-6) -> SteadyState:
     kappa = spec.kappa_vector()
     if not np.all(kappa > 0):
         raise SingularSystem("steady_from_dynamics needs kappa > 0 on every mode")
-    product, real, numerators, _ = build_hopping_matrix(spec).bond_domain()
+    hop = build_hopping_matrix(spec)
+    _, real, numerators, _ = hop.bond_domain()
     bad = np.flatnonzero(~real | (numerators < 0).any(axis=0))
     if bad.size:
-        raise _outside_rates(bad[0], product, real)
+        raise _outside_rates(bad[0], hop, real)
     rows, cols, vals, source = _moment_band(spec)
     # Solve for a pump of order one and scale back, as solve_steady_rates does:
     # the flow multiplies amplitudes by occupations, which overflows on a strong

@@ -304,18 +304,19 @@ def build_rate_matrix(spec: ChainSpec) -> RateMatrix:
                 f"bond {k} produces a transition rate that is not finite; "
                 f"2 (|t|^2 + Re(t_fwd t_bwd)) / (kappa_{k} + kappa_{k + 1}) overflows"
             )
-        product, real, *_ = hop.bond_domain()
-        raise _outside_rates(k, product, real)
+        _, real, *_ = hop.bond_domain()
+        raise _outside_rates(k, hop, real)
     return rates
 
 
-def _outside_rates(k: int, product: np.ndarray, real: np.ndarray) -> InvalidRegime:
+def _outside_rates(k: int, hop: HoppingMatrix, real: np.ndarray) -> InvalidRegime:
     """The error for bond ``k``, outside the domain of :meth:`HoppingMatrix.bond_domain`'s rates."""
     if real[k]:
         return InvalidRegime(f"bond {k} produces a negative transition rate; the rate "
                              "description only applies when |t|^2 + Re(t_fwd t_bwd) >= 0")
-    return InvalidRegime(f"bond {k} has t_fwd t_bwd = {product[k]:.6g}, which is not real; "
-                         "a transition rate sees only its real part")
+    # the amplitudes, not their product, which can leave the double range
+    return InvalidRegime(f"bond {k} has t_fwd = {hop.fwd[k]:.6g} and t_bwd = {hop.bwd[k]:.6g}, "
+                         "so t_fwd t_bwd is not real; a transition rate sees only its real part")
 
 
 # --- configuration mapping -------------------------------------------------

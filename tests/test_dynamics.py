@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -416,7 +417,7 @@ def test_exponential_of_a_growing_flow_stays_finite():
     # removes (the oracle's trace normalization does the same); the unscaled
     # squarings returned inf here
     mat = np.array([[1.0, 1.0], [0.0, 0.5]])
-    got = dynamics._expm_taylor(mat, 1000.0)
+    got = dynamics._expm_taylor([mat], 1000.0)[0]
     assert np.isfinite(got).all()
     with mpmath.workdps(30):
         ref = mpmath.expm(1000 * mpmath.matrix(mat.tolist()))
@@ -513,6 +514,20 @@ class TestSteadyFromDynamics:
                 solve(spec)
         with pytest.raises(NotGaugeReducible, match=r"^bond 0\b"):
             diagonalize(build_hopping_matrix(spec))
+
+    # a product past the double range was formed as a double and named as
+    # "0+infj"; the message names the amplitudes, which are finite
+    @pytest.mark.parametrize("bond,amplitudes", [
+        (Bond(2.37e257j, 1.63e256), "t_fwd = 0+2.37e+257j and t_bwd = 1.63e+256+0j"),
+        (Bond(1e-200j, 1e-200), "t_fwd = 0+1e-200j and t_bwd = 1e-200+0j"),
+        (Bond(0.6 + 0.3j, 0.8 - 0.2j), "t_fwd = 0.6+0.3j and t_bwd = 0.8-0.2j"),
+    ])
+    @pytest.mark.parametrize("solve,kappa", [(steady_from_dynamics, 0.1), (solve_steady_chain, 1e300)])
+    def test_names_the_amplitudes_of_the_bond(self, bond, amplitudes, solve, kappa):
+        spec = ChainSpec(modes=(ModeParams(kappa, 0.1),) * 2, bonds=(bond,))
+        message = f"^bond 0 has {re.escape(amplitudes)}, so t_fwd t_bwd is not real;"
+        with pytest.raises(InvalidRegime, match=message):
+            solve(spec)
 
     def test_complex_bond_with_a_real_positive_product_solves(self):
         spec = ChainSpec(

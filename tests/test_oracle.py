@@ -29,9 +29,10 @@ from nhcool import (
 )
 from nhcool.dynamics import _expm_taylor
 from nhcool.oracle import (
+    _blocks,
     _fock_levels,
+    _fock_plan,
     _liouvillian,
-    _parity_blocks,
     _sector_pairs,
     _thermal_populations,
     _warn_on_truncation,
@@ -141,6 +142,41 @@ def staggered_real_chain(n_modes):
     )
 
 
+# a weak bond between two different baths; at cutoff 2 the odd parity block of
+# its number-diagonal sector has a single row, whose direction never changes:
+# squared on its own, that block would stop squaring at once and lose the
+# decay of the squarings it skips, so the blocks must be squared in step
+WEAK_BOND_CHAIN = ChainSpec(
+    modes=(ModeParams(0.055, 0.0046), ModeParams(0.245, 0.78)),
+    bonds=(Bond(0.022, 0.0104),),
+)
+
+
+def trajectory_start(n_modes, cutoff, kind):
+    """A random Hermitian state on the number-diagonal sector (``hermitian``),
+    ``|psi><vacuum|`` (``non-hermitian``) or ``|psi><psi|`` (``coherent``),
+    with ``psi`` the vacuum plus one boson in the last mode."""
+    dim = cutoff**n_modes
+    psi, vacuum = np.zeros(dim), np.zeros(dim)
+    psi[[0, 1]] = math.sqrt(0.5)
+    vacuum[0] = 1.0
+    if kind == "hermitian":
+        rng = np.random.default_rng(0)
+        total = np.indices((cutoff,) * n_modes).reshape(n_modes, -1).sum(axis=0)
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = (z @ z.conj().T) * (total[:, None] == total)
+        rho /= np.trace(rho)
+    else:
+        rho = np.outer(psi, vacuum if kind == "non-hermitian" else psi).astype(complex)
+    return FockDensityMatrix(rho, cutoff=cutoff, n_modes=n_modes)
+
+
+def plan_arrays(plan):
+    """Every array that a plan holds."""
+    return [array for value in plan
+            for array in (value[:3] if isinstance(value, tuple) else (value,))]
+
+
 def full_liouvillian_occupations(spec, cutoff):
     """Leading eigenvector of the Liouvillian on the whole ``dim**2`` space."""
     n = spec.n_modes
@@ -248,7 +284,7 @@ class TestFockLayout:
         worst = int(np.argmax(top))
         message = f"top Fock level of mode {worst} holds population {top[worst]:.2e} "
         with pytest.warns(TruncationWarning, match=re.escape(message)):
-            _warn_on_truncation(_fock_levels(3, 3), pops)
+            _warn_on_truncation(_fock_plan(3, 3, (0,)).tops, pops)
 
     @pytest.mark.parametrize("differences", [(0,), (0, 1)])
     def test_liouvillian_assembly_equals_dense_gathers(self, differences):
@@ -264,11 +300,35 @@ class TestFockLayout:
                 bonds=tuple(Bond(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
                             for _ in range(n_modes - 1)),
             )
-            left, right, _ = _sector_pairs(n_modes, cutoff, differences)
-            got = _liouvillian(spec, cutoff, left, right)
+            plan = _fock_plan(n_modes, cutoff, differences)
+            left, right = plan.left, plan.right
+            got = _liouvillian(spec, plan)
             want = dense_liouvillian_block(spec, cutoff, left, right)
             # bit for bit, the signs of zeros included
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cached_assembly_keeps_each_chains_values(self):
+        # two chains of one size read one plan; called in turn with the plan
+        # warm, each assembly is still its own chain's, bit for bit
+        chains = [staggered_real_chain(3), COMPLEX_IDLE_CHAIN]
+        plan = _fock_plan(3, 3, (0, 1))
+        want = [dense_liouvillian_block(spec, 3, plan.left, plan.right) for spec in chains]
+        for spec, expected in [*zip(chains, want)] * 2:
+            got = _liouvillian(spec, _fock_plan(3, 3, (0, 1)))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_plan_is_read_only(self):
+        for array in plan_arrays(_fock_plan(3, 3, (0, 1))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_cached_plan_holds_no_pair_table(self):
+        # 1156 rows at 2 modes and cutoff 12: a rows x rows table is 10.7 MB
+        _fock_plan.cache_clear()
+        plan = _fock_plan(2, 12, (0,))
+        assert len(plan.left) == 1156
+        assert _fock_plan.cache_info().currsize == 1
+        assert sum(array.nbytes for array in plan_arrays(plan)) < 2**20
 
 
 class TestParity:
@@ -276,16 +336,17 @@ class TestParity:
 
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (2, 5), (3, 3), (4, 3)])
     def test_real_liouvillian_commutes_with_parity(self, n_modes, cutoff):
-        left, right, swap = _sector_pairs(n_modes, cutoff)
-        real = _liouvillian(staggered_real_chain(n_modes), cutoff, left, right)
+        plan = _fock_plan(n_modes, cutoff, (0,))
+        left, right, swap = plan.left, plan.right, plan.swap
+        real = _liouvillian(staggered_real_chain(n_modes), plan)
         q = parity_operator(n_modes, cutoff, left, right, swap)
         assert np.array_equal(real @ q, q @ real)
 
     @pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (2, 5), (3, 3), (4, 3)])
     def test_blocks_hold_the_spectrum(self, n_modes, cutoff):
-        left, right, swap = _sector_pairs(n_modes, cutoff)
-        real = _liouvillian(staggered_real_chain(n_modes), cutoff, left, right)
-        _, _, even, odd = _parity_blocks(real, left, right, swap, n_modes, cutoff)
+        plan = _fock_plan(n_modes, cutoff, (0,))
+        real = _liouvillian(staggered_real_chain(n_modes), plan)
+        even, odd = (b.matrix for b in _blocks(staggered_real_chain(n_modes), plan, real))
         assert len(even) + len(odd) == len(real)
         got = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
         want = np.linalg.eigvals(real)
@@ -296,8 +357,9 @@ class TestParity:
         assert distance.min(axis=0).max() <= tol
 
     def test_complex_amplitudes_break_the_parity(self):
-        left, right, swap = _sector_pairs(3, 3)
-        real = _liouvillian(COMPLEX_IDLE_CHAIN, 3, left, right)
+        plan = _fock_plan(3, 3, (0,))
+        left, right, swap = plan.left, plan.right, plan.swap
+        real = _liouvillian(COMPLEX_IDLE_CHAIN, plan)
         q = parity_operator(3, 3, left, right, swap)
         assert np.abs(real @ q - q @ real).max() > 0.1 * np.abs(real).max()
 
@@ -472,10 +534,9 @@ class TestEvolveMasterEquation:
         # the two equal, where squaring on to 60-odd or 1000-odd squarings
         # adds rounding
         spec = make_uniform_chain(3, 1.0, LN2, 0.05, 0.1)
-        left, right, _ = _sector_pairs(3, 3)
-        block = _liouvillian(spec, 3, left, right)
+        block = _liouvillian(spec, _fock_plan(3, 3, (0,)))
         assert block.shape == (141, 141)
-        short, huge = (_expm_taylor(block, 2.0**k) for k in (60, 1000))
+        short, huge = (_expm_taylor([block], 2.0**k)[0] for k in (60, 1000))
         assert np.array_equal(short / np.abs(short).max(), huge / np.abs(huge).max())
 
     # cutoff 3 truncates the chain; the warning is expected here
@@ -516,6 +577,70 @@ class TestEvolveMasterEquation:
         spec = make_uniform_chain(3, 1.0, LN2, 0.1, 0.2)
         with pytest.raises(ValueError, match="different mode counts"):
             evolve_master_equation(spec, number_state(2, 3, (1, 0)), 1.0)
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    @pytest.mark.parametrize("start", ["hermitian", "non-hermitian", "coherent"])
+    @pytest.mark.parametrize("spec, cutoff", [
+        (staggered_real_chain(2), 3), (WEAK_BOND_CHAIN, 2),
+    ], ids=["2x3-staggered", "2x2-weak-bond"])
+    def test_real_chain_matches_full_space_expm(self, spec, cutoff, start, monkeypatch):
+        # each start has a nonzero part on both parity blocks, which are
+        # propagated apart and recombined
+        shapes = []
+
+        def recorded(blocks, tau):
+            shapes.append(len(blocks))
+            return _expm_taylor(blocks, tau)
+
+        monkeypatch.setattr("nhcool.oracle._expm_taylor", recorded)
+        rho0 = trajectory_start(spec.n_modes, cutoff, start)
+        dim = len(rho0.rho)
+        liou = full_liouvillian(spec, cutoff)
+        growth = np.sort(np.linalg.eigvals(liou).real)[::-1]
+        shifted = liou - growth[0] * np.eye(len(liou))
+        for tau in (0.5, 7.0, 1e308):
+            # the limit of a huge tau: the flow, less its growth, run for 80 / gap
+            vec = expm(min(tau, 80 / (growth[0] - growth[1])) * shifted) @ rho0.rho.ravel()
+            want = vec.reshape(dim, dim) / vec.reshape(dim, dim).trace()
+            state = evolve_master_equation(spec, rho0, tau)
+            assert np.abs(state.rho - want).max() <= 1e-12
+        assert shapes == [2, 2, 2]
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    def test_thermal_start_propagates_its_even_block_alone(self, monkeypatch):
+        # the gauge copy has the same products t_fwd t_bwd, so the same
+        # trajectory, but a complex amplitude, which takes the whole block
+        spec = make_uniform_chain(2, 1.0, LN2, 0.05, 0.1)
+        bond = spec.bonds[0]
+        phase = np.exp(0.7j)
+        gauged = ChainSpec(modes=spec.modes, bonds=(Bond(bond.t_fwd * phase, bond.t_bwd / phase),))
+        shapes = []
+
+        def recorded(blocks, tau):
+            shapes.append([np.shape(block) for block in blocks])
+            return _expm_taylor(blocks, tau)
+
+        monkeypatch.setattr("nhcool.oracle._expm_taylor", recorded)
+        real = evolve_master_equation(spec, thermal_state(spec, 5), 100.0)
+        assert shapes == [[(55, 55)]]
+        shapes.clear()
+        whole = evolve_master_equation(gauged, thermal_state(gauged, 5), 100.0)
+        assert shapes == [[(85, 85)]]
+        assert real.occupations() == pytest.approx(whole.occupations(), rel=1e-12, abs=0)
+
+    @pytest.mark.filterwarnings("ignore::nhcool.TruncationWarning")
+    @pytest.mark.parametrize("entry", [(4, 4), (1, 3)], ids=["population", "coherence"])
+    @pytest.mark.parametrize("size", [1.5e308, 5e-324])
+    def test_start_of_any_finite_scale_propagates_as_a_unit_start(self, entry, size):
+        # the coordinates double a population and halve a lone coherence:
+        # 1.5e308 overflowed to inf, and the smallest subnormal underflowed to 0
+        spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
+        states = []
+        for value in (1.0, size):
+            rho = np.zeros((9, 9), dtype=complex)
+            rho[entry] = value
+            states.append(evolve_master_equation(spec, FockDensityMatrix(rho, 3, 2), 0.5).rho)
+        assert np.abs(states[1] - states[0]).max() <= 1e-15
 
     def test_rejects_start_without_nonzero_entry(self):
         spec = make_uniform_chain(2, 1.0, LN2, 0.1, 0.2)
@@ -595,8 +720,9 @@ class TestOracleSteady:
 
     def test_real_block_has_the_spectrum_of_the_liouvillian(self):
         spec = COMPLEX_IDLE_CHAIN
-        left, right, _ = _sector_pairs(3, 3)
-        real = _liouvillian(spec, 3, left, right)
+        plan = _fock_plan(3, 3, (0,))
+        left, right = plan.left, plan.right
+        real = _liouvillian(spec, plan)
         assert real.dtype == np.float64
         keep = left * 27 + right
         want = np.linalg.eigvals(full_liouvillian(spec, 3)[np.ix_(keep, keep)])

@@ -54,5 +54,5 @@ def test_lib_bits_finds_a_checkout_identical_to_itself():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 10, proc.stdout
+    assert len(lines) == 11, proc.stdout
     assert all(re.fullmatch(r"\S+ +identical +10  different +0", line) for line in lines), proc.stdout

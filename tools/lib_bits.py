@@ -11,7 +11,10 @@ product or a negative rate numerator) and modes without a bath, half of
 them with every amplitude and kappa multiplied by ``2**j``, ``j`` drawn from
 ``[-1000, 1000]``.  The closed forms take scalars in one such unit, a
 fifth of them spread over the whole double range instead, and the oracle
-chains of at most 3 modes at cutoff 2 or 3.  Each call is recorded as the ``float.hex`` of every
+chains of at most 3 modes at cutoff 2 or 3.  The master-equation trajectory
+starts from the thermal state, from a random Hermitian matrix on the
+number-diagonal sector or from the vacuum plus one boson, the last two
+at cutoff 2 on 3 modes.  Each call is recorded as the ``float.hex`` of every
 output, complex parts in turn, or as its error's type and message.  Prints
 the identical and different counts per function and the first differing
 inputs, and exits 1 on any difference, else 0.  This is the library's
@@ -83,6 +86,23 @@ def _hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return z + z.conj().T
 
 
+def _fock_start(nh, n_modes: int, cutoff: int, chain: dict, kind: str, seed: int):
+    """The start state of a trajectory: ``thermal``, a random Hermitian
+    matrix on the states of equal total boson number, or ``coherent``, the
+    vacuum plus one boson in the last mode."""
+    if kind == "thermal":
+        return nh.thermal_state(_spec(nh, chain), cutoff)
+    dim = cutoff**n_modes
+    if kind == "coherent":
+        psi = np.zeros(dim)
+        psi[[0, 1]] = math.sqrt(0.5)
+        rho = np.outer(psi, psi).astype(complex)
+    else:
+        total = np.indices((cutoff,) * n_modes).reshape(n_modes, -1).sum(axis=0)
+        rho = _hermitian(np.random.default_rng(seed), dim) * (total[:, None] == total)
+    return nh.FockDensityMatrix(rho, cutoff=cutoff, n_modes=n_modes)
+
+
 def _scalars(rng: np.random.Generator) -> tuple[float, float, float, float, float]:
     """``t, A, kappa_1, kappa_2, n_th`` of a closed form in one unit ``2**j``;
     a fifth of them spread over the whole double range instead."""
@@ -108,6 +128,15 @@ def _calls(nh, rng: np.random.Generator) -> dict:
     two, (t, a, kappa, _, n_th) = _scalars(rng), _scalars(rng)
     plateau = (t, abs(a), kappa, n_th)
     cutoff, fill = int(rng.integers(2, 4)), float(rng.uniform(0, 2))
+    fock_chain = _chain(rng, 3)
+    fock_kind = str(rng.choice(["thermal", "hermitian", "coherent"]))
+    fock_seed, fock_end = int(rng.integers(2**32)), float(rng.uniform(0, 50))
+    fock_modes = len(fock_chain["kappa"])
+    fock_cutoff = 2 if fock_kind != "thermal" and fock_modes == 3 else cutoff
+
+    def trajectory():
+        start = _fock_start(nh, fock_modes, fock_cutoff, fock_chain, fock_kind, fock_seed)
+        return nh.evolve_master_equation(_spec(nh, fock_chain), start, fock_end).rho
 
     def spectral():
         decomp = nh.diagonalize(nh.build_hopping_matrix(_spec(nh, chain)))
@@ -128,6 +157,8 @@ def _calls(nh, rng: np.random.Generator) -> dict:
         "diagonalize+spectral_occupations": ([chain, fill], spectral),
         "oracle_steady": ([oracle_chain, cutoff], lambda: nh.oracle_steady(
             _spec(nh, oracle_chain), cutoff)),
+        "evolve_master_equation": ([fock_chain, fock_cutoff, fock_kind, fock_seed, fock_end],
+                                   trajectory),
     }
 
 
